@@ -206,6 +206,7 @@ func main() {
 				Cooldown:  *breakerCooldown,
 			},
 			EnumerateMaxLimit: *enumLimit,
+			MaxBodyBytes:      *maxBodyBytes,
 			Obs:               reg,
 			AccessLog:         alogW,
 			TraceCapacity:     *traceCap,

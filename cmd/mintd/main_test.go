@@ -417,6 +417,23 @@ func waitReady(t *testing.T, base string) {
 // TestReadyzFlipsBeforeExit double-checks the drain ordering from the
 // outside: after SIGTERM the readiness probe must refuse before the
 // listener dies, so load balancers stop routing to a draining replica.
+// waitMetric polls /metrics until it exposes the sample line want.
+func waitMetric(t *testing.T, base, want string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if resp, err := http.Get(base + "/metrics"); err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if bytes.Contains(body, []byte("\n"+want+"\n")) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics never showed %q", want)
+		}
+	}
+}
+
 func TestReadyzFlipsBeforeExit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: builds a binary and runs a subprocess")
@@ -468,7 +485,9 @@ func TestReadyzFlipsBeforeExit(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	time.Sleep(100 * time.Millisecond) // let the request enter the server
+	// Signal only once the request is inside the server: its route
+	// counter has ticked.
+	waitMetric(t, base, "mintd_http_count_requests 1")
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

@@ -275,15 +275,28 @@ func TestFollowerCrashSafety(t *testing.T) {
 	}
 
 	followArgs := append([]string{"-ingest-dir", walF, "-follow", primaryURL}, commonArgs...)
+	primarySeq := replicationStatus(t, primaryURL)["applied_seq"].(float64)
 	fcmd, furl := startMintd(t, bin, followArgs...)
-	// Kill without ceremony while it is (very likely) still syncing. No
-	// waitReady: the point is to die mid-catch-up.
-	time.Sleep(50 * time.Millisecond)
+	// Kill without ceremony mid-catch-up: once the follower reports
+	// syncing with some records applied but fewer than the primary's. No
+	// waitReady: the point is to die before it is ready.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := replicationStatus(t, furl)
+		if st["caught_up"] == true {
+			t.Fatalf("follower caught up before it could be killed mid-catch-up: %v", st)
+		}
+		if seq, _ := st["applied_seq"].(float64); st["state"] == "syncing" && seq > 0 && seq < primarySeq {
+			t.Logf("killing the follower at applied_seq %v of %v", seq, primarySeq)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never reported a mid-catch-up position: %v", st)
+		}
+	}
 	if err := fcmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	fcmd.Wait() //nolint:errcheck
-	_ = furl
 
 	// Restart on the same WAL dir: replay what it had, resume pulling
 	// from its own position, catch up, verify fingerprints.

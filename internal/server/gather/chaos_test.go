@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,6 +96,13 @@ func TestChaosSoak3ShardLoudPartials(t *testing.T) {
 
 	const clients = 8
 	const perClient = 12
+	// The victim dies after killAfter responses, under live traffic:
+	// clients that reach the threshold wait for the kill before sending
+	// more, so the rest of the soak runs against the wounded cluster
+	// however fast this host drains requests.
+	const killAfter = clients * perClient / 3
+	var completed atomic.Int64
+	killNow, killed := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	outcomes := map[string]int{}
@@ -129,6 +137,9 @@ func TestChaosSoak3ShardLoudPartials(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
+				if completed.Load() >= killAfter {
+					<-killed
+				}
 				mn := []string{"M1", "M2"}[(c+i)%2]
 				tag := fmt.Sprintf("client %d req %d (%s)", c, i, mn)
 				if (c+i)%4 == 3 { // a quarter of traffic enumerates
@@ -137,6 +148,9 @@ func TestChaosSoak3ShardLoudPartials(t *testing.T) {
 						Dataset: "g", Motif: "M1", DeltaSeconds: testDelta,
 						TimeoutMS: 2000, Limit: 16,
 					}, &resp)
+					if completed.Add(1) == killAfter {
+						close(killNow)
+					}
 					checkShedOrOK(t, tag, status, hdr)
 					if status != http.StatusOK {
 						seen("shed")
@@ -162,6 +176,9 @@ func TestChaosSoak3ShardLoudPartials(t *testing.T) {
 				status, hdr := postJSON(t, cts.URL+"/v1/count", server.CountRequest{
 					Dataset: "g", Motif: mn, DeltaSeconds: testDelta, TimeoutMS: 2000,
 				}, &resp)
+				if completed.Add(1) == killAfter {
+					close(killNow)
+				}
 				checkShedOrOK(t, tag, status, hdr)
 				if status != http.StatusOK {
 					seen("shed")
@@ -203,9 +220,20 @@ func TestChaosSoak3ShardLoudPartials(t *testing.T) {
 		}(c)
 	}
 
-	// Kill the victim mid-soak, under live traffic.
-	time.Sleep(400 * time.Millisecond)
+	// Kill the victim mid-soak, once killAfter responses are in. (A
+	// client that died on t.Fatal may keep the count short; then the
+	// soak has already failed and there is nothing left to kill for.)
+	soakDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(soakDone)
+	}()
+	select {
+	case <-killNow:
+	case <-soakDone:
+	}
 	victim.Close()
+	close(killed)
 	wg.Wait()
 	t.Logf("soak outcomes: %v", outcomes)
 

@@ -115,6 +115,9 @@ type Config struct {
 	EnumerateMaxLimit int
 	// ProbeTimeout bounds one readyz shard health probe (default 500ms).
 	ProbeTimeout time.Duration
+	// MaxBodyBytes caps every JSON request body, as on a worker
+	// (0 = server.DefaultMaxBodyBytes); oversized bodies answer 413.
+	MaxBodyBytes int64
 	// Obs receives coordinator metrics (nil: dropped).
 	Obs *obs.Registry
 	// AccessLog, when non-nil, receives one JSON line per request
@@ -150,13 +153,6 @@ func (c Config) normalized() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 500 * time.Millisecond
 	}
-	for i, s := range c.Shards {
-		members := strings.Split(s, "|")
-		for j, m := range members {
-			members[j] = strings.TrimRight(strings.TrimSpace(m), "/")
-		}
-		c.Shards[i] = strings.Join(members, "|")
-	}
 	return c
 }
 
@@ -166,30 +162,15 @@ func setLabel(members []string) string { return strings.Join(members, "|") }
 // Coordinator is the scatter-gather serving core. Create with New,
 // mount Handler, call Drain exactly once on the way out.
 type Coordinator struct {
-	cfg Config
-	obs *obs.Registry
-	adm *server.Admission
-	brk *server.BreakerGroup
-	mux *http.ServeMux
+	cfg   Config
+	obs   *obs.Registry
+	brk   *server.BreakerGroup
+	front *server.Front
 
 	// sets[i] is shard entry i split into its replica members; a
 	// single-URL entry is a one-member set. Plan range i belongs to
 	// sets[i] as a unit — any member can serve it, fingerprint willing.
 	sets [][]string
-
-	// traces retains merged (coordinator + shard fragment) traces for
-	// /debug/trace; alog is the structured access log (both nil-safe).
-	traces *obs.TraceStore
-	alog   *obs.AccessLogger
-
-	start time.Time
-
-	runCtx     context.Context
-	cancelRuns context.CancelFunc
-
-	stateMu  sync.RWMutex
-	draining bool
-	inflight sync.WaitGroup
 
 	// shardRetryUntil is the worst shard-reported Retry-After deadline
 	// (unix nanos) seen recently; it keeps coordinator shed hints honest
@@ -211,23 +192,16 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("gather: at least one shard URL is required")
 	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 256
-	}
 	c := &Coordinator{
-		cfg:    cfg.normalized(),
-		obs:    cfg.Obs,
-		start:  time.Now(),
-		adm:    server.NewAdmission(cfg.Admission, cfg.Obs),
-		brk:    server.NewBreakerGroup(cfg.Breaker, cfg.Obs),
-		infos:  map[string]map[string]*server.DatasetInfoResponse{},
-		traces: obs.NewTraceStore(cfg.TraceCapacity),
-		alog:   obs.NewAccessLogger(cfg.AccessLog),
+		cfg:   cfg.normalized(),
+		obs:   cfg.Obs,
+		brk:   server.NewBreakerGroup(cfg.Breaker, cfg.Obs),
+		infos: map[string]map[string]*server.DatasetInfoResponse{},
 	}
 	for i, entry := range c.cfg.Shards {
 		var set []string
 		for _, m := range strings.Split(entry, "|") {
-			if m != "" {
+			if m = strings.TrimRight(strings.TrimSpace(m), "/"); m != "" {
 				set = append(set, m)
 			}
 		}
@@ -236,186 +210,37 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.sets = append(c.sets, set)
 	}
-	c.runCtx, c.cancelRuns = context.WithCancel(context.Background())
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/count", c.instrument("count", c.handleCount))
-	c.mux.HandleFunc("POST /v1/enumerate", c.instrument("enumerate", c.handleEnumerate))
-	c.mux.HandleFunc("POST /v1/profile", c.instrument("profile", c.handleProfile))
-	c.mux.HandleFunc("POST /v1/datasetinfo", c.instrument("datasetinfo", c.handleDatasetInfo))
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
-	c.mux.HandleFunc("GET /debug/trace/{id}", c.handleTraceDump)
-	c.mux.Handle("GET /metrics", obs.MetricsHandler(c.obs))
+	c.front = server.NewFront(server.FrontConfig{
+		Coordinator:   true,
+		Admission:     cfg.Admission,
+		Caps:          cfg.Caps,
+		MaxBodyBytes:  cfg.MaxBodyBytes,
+		Obs:           cfg.Obs,
+		AccessLog:     cfg.AccessLog,
+		TraceCapacity: cfg.TraceCapacity,
+		// Shed and overload hints stay honest when the overload lives
+		// behind the fan-out.
+		ShardRetry: c.shardWorstRetry,
+	})
+	c.front.Handle("POST /v1/count", "count", c.handleCount)
+	c.front.Handle("POST /v1/enumerate", "enumerate", c.handleEnumerate)
+	c.front.Handle("POST /v1/profile", "profile", c.handleProfile)
+	c.front.Handle("POST /v1/datasetinfo", "datasetinfo", c.handleDatasetInfo)
+	c.front.HandleReadyz(c.handleReadyz)
 	return c, nil
 }
 
 // Handler returns the coordinator's HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
+func (c *Coordinator) Handler() http.Handler { return c.front.Handler() }
 
-// Draining reports whether drain has begun.
-func (c *Coordinator) Draining() bool {
-	c.stateMu.RLock()
-	defer c.stateMu.RUnlock()
-	return c.draining
-}
-
-// Drain winds the coordinator down exactly like server.Drain: stop
-// admitting, let in-flight fan-outs finish until ctx expires, then
-// cancel them (shard calls abort via their request contexts) and wait.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.stateMu.Lock()
-	already := c.draining
-	c.draining = true
-	c.stateMu.Unlock()
-	if already {
-		return errors.New("gather: Drain called twice")
-	}
-	c.obs.Counter("gather.drain_started").Add(1)
-	c.adm.Stop()
-	done := make(chan struct{})
-	go func() {
-		c.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		c.cancelRuns()
-	case <-ctx.Done():
-		c.obs.Counter("gather.drain_forced").Add(1)
-		c.cancelRuns()
-		<-done
-	}
-	c.obs.Counter("gather.drain_done").Add(1)
-	return nil
-}
+// Drain winds the coordinator down through the shared drain lifecycle
+// (see server.Front.Drain): stop admitting, let in-flight fan-outs
+// finish until ctx expires, then cancel them (shard calls abort via
+// their request contexts) and wait.
+func (c *Coordinator) Drain(ctx context.Context) error { return c.front.Drain(ctx, nil) }
 
 // BuildReport assembles the end-of-life RunReport mintd flushes on exit.
-func (c *Coordinator) BuildReport() *obs.RunReport {
-	rep := obs.NewRunReport("mintd", "coordinate")
-	rep.StartUnixNano = c.start.UnixNano()
-	rep.WallSeconds = time.Since(c.start).Seconds()
-	rep.CPUSeconds = obs.ProcessCPUSeconds()
-	rep.AttachSnapshot(c.obs.Snapshot())
-	return rep
-}
-
-// HTTP plumbing ----------------------------------------------------------
-
-func (c *Coordinator) beginRequest() (func(), bool) {
-	c.stateMu.RLock()
-	defer c.stateMu.RUnlock()
-	if c.draining {
-		return nil, false
-	}
-	c.inflight.Add(1)
-	return c.inflight.Done, true
-}
-
-func (c *Coordinator) requestCtx(r *http.Request) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(r.Context())
-	stop := context.AfterFunc(c.runCtx, cancel)
-	return ctx, func() {
-		stop()
-		cancel()
-	}
-}
-
-// instrument wraps a fan-out handler with trace context resolution
-// (incoming traceparent / X-Request-ID honored, X-Trace-Id echoed on
-// every response including drain 503s), per-endpoint metrics, the
-// access log, trace retention for /debug/trace, and a panic backstop.
-func (c *Coordinator) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt, sw, r := server.BeginTrace(w, r, "gather."+name)
-		start := time.Now()
-		done, ok := c.beginRequest()
-		if !ok {
-			rt.Annotate("outcome", "draining")
-			writeError(sw, http.StatusServiceUnavailable, "coordinator is draining", server.RetryAfterSeconds(30*time.Second))
-			c.finishTrace(rt, name, sw.Status(), start)
-			return
-		}
-		c.obs.Counter("gather." + name + ".requests").Add(1)
-		defer func() {
-			if rec := recover(); rec != nil {
-				c.obs.Counter("gather." + name + ".panics").Add(1)
-				writeError(sw, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", rec), 0)
-			}
-			c.obs.Histogram("gather." + name + ".latency_ns").Observe(int64(time.Since(start)))
-			done()
-			c.finishTrace(rt, name, sw.Status(), start)
-		}()
-		h(sw, r)
-	}
-}
-
-// finishTrace closes the request's root span, retains the merged trace
-// (coordinator spans plus imported shard fragments) for
-// GET /debug/trace/<id>, and writes the access-log line.
-func (c *Coordinator) finishTrace(rt *obs.ReqTrace, route string, status int, start time.Time) {
-	rt.Finish()
-	c.traces.Add(rt.TraceID(), rt.Spans())
-	c.alog.Log(server.AccessRecordFor(rt, route, status, start))
-}
-
-// handleTraceDump serves one merged trace as Chrome trace JSON.
-func (c *Coordinator) handleTraceDump(w http.ResponseWriter, r *http.Request) {
-	server.ServeTraceDump(w, r, c.traces)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone = nothing to do
-}
-
-func writeError(w http.ResponseWriter, status int, msg string, retryAfter int) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
-	writeJSON(w, status, server.ErrorResponse{Error: msg, RetryAfterSeconds: retryAfter})
-}
-
-// admit runs the coordinator's own admission ladder; shed responses
-// carry the combined (own ∨ worst-shard) Retry-After.
-func (c *Coordinator) admit(w http.ResponseWriter, ctx context.Context, priority string) (func(), bool) {
-	rt := obs.ReqTraceFrom(ctx)
-	pri, err := server.ParsePriority(priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return nil, false
-	}
-	rt.Annotate("priority", pri.String())
-	sp := rt.Begin("admission.wait", rt.RootID())
-	release, err := c.adm.Acquire(ctx, pri)
-	if err == nil {
-		sp.Set("outcome", "admitted")
-		sp.End()
-		return release, true
-	}
-	var shed *server.ShedError
-	switch {
-	case errors.As(err, &shed):
-		sp.Set("outcome", "shed")
-		sp.End()
-		c.obs.Counter("gather.shed").Add(1)
-		ra := c.adm.CombineRetryAfter(c.shardWorstRetry())
-		if shed.RetryAfter > ra {
-			ra = shed.RetryAfter
-		}
-		writeError(w, http.StatusTooManyRequests, err.Error(), server.RetryAfterSeconds(ra))
-	case errors.Is(err, server.ErrDraining):
-		sp.Set("outcome", "draining")
-		sp.End()
-		writeError(w, http.StatusServiceUnavailable, err.Error(), server.RetryAfterSeconds(30*time.Second))
-	default:
-		sp.Set("outcome", "timeout")
-		sp.End()
-		writeError(w, http.StatusServiceUnavailable, err.Error(),
-			server.RetryAfterSeconds(c.adm.CombineRetryAfter(c.shardWorstRetry())))
-	}
-	return nil, false
-}
+func (c *Coordinator) BuildReport() *obs.RunReport { return c.front.BuildReport() }
 
 // Shard RPC --------------------------------------------------------------
 
@@ -461,6 +286,23 @@ func (c *Coordinator) shardWorstRetry() time.Duration {
 	return 0
 }
 
+// countShard bumps a gather counter and its per-shard labeled twin.
+func (c *Coordinator) countShard(name, shardURL string) {
+	c.obs.Counter(name).Add(1)
+	c.obs.Counter(obs.Labeled(name+"_by", "shard", shardURL)).Add(1)
+}
+
+// badRequest returns err's shard 400, or nil. A 400 is the request's
+// fault, not the shard's: every member of every set would answer the
+// same, so it bounces to the client instead of failing the shard over.
+func badRequest(err error) *shardError {
+	var se *shardError
+	if errors.As(err, &se) && se.status == http.StatusBadRequest {
+		return se
+	}
+	return nil
+}
+
 // errBreakerOpen marks a shard skipped because its breaker is open.
 var errBreakerOpen = errors.New("shard breaker open")
 
@@ -471,26 +313,22 @@ var errBreakerOpen = errors.New("shard breaker open")
 // decisions; its span id is propagated to the shard as the traceparent,
 // so the shard's own span tree hangs under this span in the merged
 // trace.
-func (c *Coordinator) call(ctx context.Context, shardURL, path string, in, out any) error {
+func (c *Coordinator) call(ctx context.Context, shardURL, path string, in, out any) (err error) {
 	rt := obs.ReqTraceFrom(ctx)
 	sp := rt.Begin("shard.call", rt.RootID())
 	sp.Set("shard", shardURL)
 	sp.Set("path", path)
-	err := c.callTraced(ctx, rt, sp, shardURL, path, in, out)
-	if err != nil {
-		sp.Set("outcome", "error")
-		sp.Set("error", err.Error())
-	} else {
-		sp.Set("outcome", "ok")
-	}
-	sp.End()
-	return err
-}
-
-func (c *Coordinator) callTraced(ctx context.Context, rt *obs.ReqTrace, sp *obs.SpanRef, shardURL, path string, in, out any) error {
+	defer func() {
+		if err != nil {
+			sp.Set("outcome", "error")
+			sp.Set("error", err.Error())
+		} else {
+			sp.Set("outcome", "ok")
+		}
+		sp.End()
+	}()
 	if c.brk.Acquire(shardURL) == server.Degrade {
-		c.obs.Counter("gather.breaker_skip").Add(1)
-		c.obs.Counter(obs.Labeled("gather.breaker_skip_by", "shard", shardURL)).Add(1)
+		c.countShard("gather.breaker_skip", shardURL)
 		sp.Set("breaker", "open")
 		return fmt.Errorf("%s: %w", shardURL, errBreakerOpen)
 	}
@@ -508,8 +346,7 @@ func (c *Coordinator) callTraced(ctx context.Context, rt *obs.ReqTrace, sp *obs.
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			c.obs.Counter("gather.retry").Add(1)
-			c.obs.Counter(obs.Labeled("gather.retry_by", "shard", shardURL)).Add(1)
+			c.countShard("gather.retry", shardURL)
 			sp.Set("retries", strconv.Itoa(attempt))
 			select {
 			case <-time.After(runctl.Backoff(attempt-1, c.cfg.RetryBase, c.cfg.RetryCap)):
@@ -612,8 +449,7 @@ func (c *Coordinator) attempt(ctx context.Context, shardURL, path, tp string, bo
 		case <-timerC:
 			timerC = nil
 			pending++
-			c.obs.Counter("gather.hedged").Add(1)
-			c.obs.Counter(obs.Labeled("gather.hedged_by", "shard", shardURL)).Add(1)
+			c.countShard("gather.hedged", shardURL)
 			sp.Set("hedged", "true")
 			go do()
 		case <-ctx.Done():
@@ -663,8 +499,7 @@ func (c *Coordinator) setInfo(ctx context.Context, set []string, dataset string)
 			return info, u, nil
 		}
 		lastErr = err
-		var se *shardError
-		if errors.As(err, &se) && se.status == http.StatusBadRequest {
+		if badRequest(err) != nil {
 			return nil, "", err
 		}
 	}
@@ -673,22 +508,21 @@ func (c *Coordinator) setInfo(ctx context.Context, set []string, dataset string)
 
 // queryPlan is one request's fan-out: ranges[i] is the owned root
 // window served by replica set members[i], preferring acting member
-// urls[i]; fps[i] is the fingerprint the set was planned against (the
-// failover admission bar); ok[i] is false when no member of the set
-// could even be identified (its window is missing from the start).
+// urls[i]; infos[i] is the identity the set was planned against (its
+// fingerprint is the failover admission bar), nil when no member of the
+// set could even be identified (its window is missing from the start).
 type queryPlan struct {
 	ranges  []shard.Range
 	urls    []string
 	members [][]string
-	fps     []string
-	ok      []bool
+	infos   []*server.DatasetInfoResponse
 }
 
 // missingUpfront lists the replica sets already known unusable.
 func (qp *queryPlan) missingUpfront() []string {
 	var out []string
-	for i, ok := range qp.ok {
-		if !ok {
+	for i, info := range qp.infos {
+		if info == nil {
 			out = append(out, setLabel(qp.members[i]))
 		}
 	}
@@ -722,8 +556,7 @@ func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Ti
 	// A 400 is about the request (unknown dataset), not shard health:
 	// bounce it to the client unchanged.
 	for _, err := range errs {
-		var se *shardError
-		if errors.As(err, &se) && se.status == http.StatusBadRequest {
+		if se := badRequest(err); se != nil {
 			return nil, &planError{status: http.StatusBadRequest, msg: se.msg}
 		}
 	}
@@ -764,20 +597,29 @@ func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Ti
 		return nil, &planError{status: http.StatusServiceUnavailable, msg: msg}
 	}
 	p := shard.New(span.Start, span.End, n, delta)
-	qp := &queryPlan{ranges: p.Ranges}
+	qp := &queryPlan{ranges: p.Ranges, members: c.sets, infos: infos}
 	for i := range p.Ranges {
 		u := acting[i]
 		if u == "" {
 			u = c.sets[i][0]
 		}
 		qp.urls = append(qp.urls, u)
-		qp.members = append(qp.members, c.sets[i])
-		pfp := ""
-		if infos[i] != nil {
-			pfp = infos[i].Fingerprint
-		}
-		qp.fps = append(qp.fps, pfp)
-		qp.ok = append(qp.ok, infos[i] != nil)
+	}
+	return qp, nil
+}
+
+// plan runs planFor for one admitted request under a gather.plan span.
+func (c *Coordinator) plan(q *server.Admitted, dataset string, deltaSeconds int64) (*queryPlan, error) {
+	sp := q.Trace.Begin("gather.plan", q.Trace.RootID())
+	defer sp.End()
+	qp, err := c.planFor(q.Ctx, dataset, server.Delta(deltaSeconds))
+	if err != nil {
+		sp.Set("outcome", "error")
+		return nil, err
+	}
+	sp.Set("shards", strconv.Itoa(len(qp.ranges)))
+	if miss := qp.missingUpfront(); len(miss) > 0 {
+		sp.Set("missing_upfront", strings.Join(miss, ","))
 	}
 	return qp, nil
 }
@@ -819,8 +661,7 @@ func (c *Coordinator) planSliced(infos []*server.DatasetInfoResponse, acting []s
 		qp.ranges = append(qp.ranges, shard.Range{Start: start, End: end})
 		qp.urls = append(qp.urls, acting[idx])
 		qp.members = append(qp.members, c.sets[idx])
-		qp.fps = append(qp.fps, infos[idx].Fingerprint)
-		qp.ok = append(qp.ok, true)
+		qp.infos = append(qp.infos, infos[idx])
 	}
 	return qp, nil
 }
@@ -836,14 +677,10 @@ func (c *Coordinator) planSliced(infos []*server.DatasetInfoResponse, acting []s
 // — every member would answer the same.
 func (c *Coordinator) callSet(ctx context.Context, qp *queryPlan, i int, dataset, path string, in, out any) error {
 	err := c.call(ctx, qp.urls[i], path, in, out)
-	if err == nil {
-		return nil
-	}
-	var se *shardError
-	if errors.As(err, &se) && se.status == http.StatusBadRequest {
-		return err
-	}
 	for _, m := range qp.members[i] {
+		if err == nil || badRequest(err) != nil {
+			return err
+		}
 		if m == qp.urls[i] || ctx.Err() != nil {
 			continue
 		}
@@ -851,46 +688,24 @@ func (c *Coordinator) callSet(ctx context.Context, qp *queryPlan, i int, dataset
 		if ierr != nil {
 			continue
 		}
-		if qp.fps[i] != "" && info.Fingerprint != qp.fps[i] {
-			c.obs.Counter("gather.failover_fp_mismatch").Add(1)
-			c.obs.Counter(obs.Labeled("gather.failover_fp_mismatch_by", "shard", m)).Add(1)
+		if info.Fingerprint != qp.infos[i].Fingerprint {
+			c.countShard("gather.failover_fp_mismatch", m)
 			continue
 		}
-		ferr := c.call(ctx, m, path, in, out)
-		if ferr == nil {
-			c.obs.Counter("gather.failover").Add(1)
-			c.obs.Counter(obs.Labeled("gather.failover_by", "shard", m)).Add(1)
-			return nil
+		if err = c.call(ctx, m, path, in, out); err == nil {
+			c.countShard("gather.failover", m)
 		}
-		if errors.As(ferr, &se) && se.status == http.StatusBadRequest {
-			return ferr
-		}
-		err = ferr
 	}
 	return err
 }
 
-// planningDelta mirrors the worker's δ default so the coordinator's
-// partition matches what the shards will mine.
-func planningDelta(deltaSeconds int64) mint.Timestamp {
-	if deltaSeconds <= 0 {
-		return mint.DeltaHour
-	}
-	return mint.Timestamp(deltaSeconds)
-}
-
 func (c *Coordinator) writePlanError(w http.ResponseWriter, err error) {
+	status, ra := http.StatusServiceUnavailable, server.RetryAfterSeconds(c.front.RetryAfter())
 	var pe *planError
-	if errors.As(err, &pe) {
-		ra := 0
-		if pe.status == http.StatusServiceUnavailable {
-			ra = server.RetryAfterSeconds(c.adm.CombineRetryAfter(c.shardWorstRetry()))
-		}
-		writeError(w, pe.status, pe.msg, ra)
-		return
+	if errors.As(err, &pe) && pe.status != http.StatusServiceUnavailable {
+		status, ra = pe.status, 0
 	}
-	writeError(w, http.StatusServiceUnavailable, err.Error(),
-		server.RetryAfterSeconds(c.adm.CombineRetryAfter(c.shardWorstRetry())))
+	server.WriteError(w, status, err.Error(), ra)
 }
 
 // Count ------------------------------------------------------------------
@@ -905,54 +720,37 @@ func (c *Coordinator) writePlanError(w http.ResponseWriter, err error) {
 // is the same motif; a shard answering a different entry count is
 // treated as failed rather than mis-summed. Failures return a
 // *planError for writePlanError.
-func (c *Coordinator) fanoutCount(ctx context.Context, rt *obs.ReqTrace, req *server.CountRequest, full runctl.Budget) (server.CountResponse, error) {
-	psp := rt.Begin("gather.plan", rt.RootID())
-	qp, err := c.planFor(ctx, req.Dataset, planningDelta(req.DeltaSeconds))
+func (c *Coordinator) fanoutCount(q *server.Admitted, req *server.CountRequest) (server.CountResponse, error) {
+	ctx, rt := q.Ctx, q.Trace
+	qp, err := c.plan(q, req.Dataset, req.DeltaSeconds)
 	if err != nil {
-		psp.Set("outcome", "error")
-		psp.End()
 		return server.CountResponse{}, err
 	}
 	n := len(qp.ranges)
-	psp.Set("shards", strconv.Itoa(n))
-	if miss := qp.missingUpfront(); len(miss) > 0 {
-		psp.Set("missing_upfront", strings.Join(miss, ","))
-	}
-	psp.End()
-	per := runctl.SplitBudget(full, n, c.cfg.MergeMargin)
+	per := runctl.SplitBudget(q.Full, n, c.cfg.MergeMargin)
 	numMotifs := len(req.Motifs) + len(req.MotifSpecs)
 
 	results := make([]*server.CountResponse, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range qp.ranges {
-		if !qp.ok[i] {
+		if qp.infos[i] == nil {
 			errs[i] = errBreakerOpen
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sreq := server.CountRequest{
-				Dataset:      req.Dataset,
-				Motif:        req.Motif,
-				MotifSpec:    req.MotifSpec,
-				Motifs:       req.Motifs,
-				MotifSpecs:   req.MotifSpecs,
-				DeltaSeconds: req.DeltaSeconds,
-				TimeoutMS:    shardTimeoutMS(per),
-				MaxMatches:   per.MaxMatches,
-				MaxNodes:     per.MaxNodes,
-				Priority:     req.Priority,
-				RootWindow:   &server.TimeWindow{StartTS: int64(qp.ranges[i].Start), EndTS: int64(qp.ranges[i].End)},
-				// Ask the shard for its span fragment so the merged trace
-				// covers the whole fan-out.
-				ReturnTrace: rt.TraceID() != "",
-			}
+			// The client's request, under the shard's split budget and
+			// owned root window. The shard returns its span fragment (not
+			// an explain tree) so the merged trace covers the fan-out.
+			sreq := *req
+			sreq.TimeoutMS, sreq.MaxMatches, sreq.MaxNodes = shardTimeoutMS(per), per.MaxMatches, per.MaxNodes
+			sreq.RootWindow = &server.TimeWindow{StartTS: int64(qp.ranges[i].Start), EndTS: int64(qp.ranges[i].End)}
+			sreq.Explain, sreq.ReturnTrace = false, rt.TraceID() != ""
 			var out server.CountResponse
 			if err := c.callSet(ctx, qp, i, req.Dataset, "/v1/count", sreq, &out); err != nil {
-				c.obs.Counter("gather.shard_failed").Add(1)
-				c.obs.Counter(obs.Labeled("gather.shard_failed_by", "shard", qp.urls[i])).Add(1)
+				c.countShard("gather.shard_failed", qp.urls[i])
 				errs[i] = err
 				return
 			}
@@ -975,8 +773,7 @@ func (c *Coordinator) fanoutCount(ctx context.Context, rt *obs.ReqTrace, req *se
 	// (bad motif spec, usually): that is the client's error, not a
 	// missing shard.
 	for _, err := range errs {
-		var se *shardError
-		if errors.As(err, &se) && se.status == http.StatusBadRequest {
+		if se := badRequest(err); se != nil {
 			return server.CountResponse{}, &planError{status: http.StatusBadRequest, msg: se.msg}
 		}
 	}
@@ -1022,7 +819,6 @@ func (c *Coordinator) fanoutCount(ctx context.Context, rt *obs.ReqTrace, req *se
 		out.Truncated = true
 		out.StopReason = StopShardUnavailable
 		out.Partial = &server.PartialInfo{MissingShards: missing, Bound: "lower"}
-		rt.Annotate("partial", strings.Join(missing, ","))
 		// A lost shard's window is missing from EVERY entry: each one is
 		// now a loud lower bound, whatever its own shards reported.
 		for j := range out.PerMotif {
@@ -1048,55 +844,29 @@ func (c *Coordinator) fanoutCount(ctx context.Context, rt *obs.ReqTrace, req *se
 
 func (c *Coordinator) handleCount(w http.ResponseWriter, r *http.Request) {
 	var req server.CountRequest
-	if !server.DecodeBody(w, r, 0, &req) {
+	if !c.front.Decode(w, r, &req) {
 		return
 	}
 	if req.Supervised {
-		writeError(w, http.StatusBadRequest, "supervised is not supported in coordinator mode", 0)
+		server.WriteError(w, http.StatusBadRequest, "supervised is not supported in coordinator mode", 0)
 		return
 	}
 	if req.RootWindow != nil {
-		writeError(w, http.StatusBadRequest, "root_window is assigned by the coordinator; query a worker directly to restrict roots", 0)
+		server.WriteError(w, http.StatusBadRequest, "root_window is assigned by the coordinator; query a worker directly to restrict roots", 0)
 		return
 	}
-	ctx, cleanup := c.requestCtx(r)
-	defer cleanup()
-	release, ok := c.admit(w, ctx, req.Priority)
+	q, ok := c.front.Prelude(w, r, "count", req.Priority, req.TimeoutMS,
+		runctl.Budget{MaxMatches: req.MaxMatches, MaxNodes: req.MaxNodes})
 	if !ok {
 		return
 	}
-	defer release()
-	start := time.Now()
-	full := runctl.DeriveBudget(start, time.Duration(req.TimeoutMS)*time.Millisecond,
-		runctl.Budget{MaxMatches: req.MaxMatches, MaxNodes: req.MaxNodes}, c.cfg.Caps)
-	mineCtx, cancel := ctx, func() {}
-	if !full.Deadline.IsZero() {
-		mineCtx, cancel = context.WithDeadline(ctx, full.Deadline)
-	}
-	defer cancel()
-
-	rt := obs.ReqTraceFrom(ctx)
-	out, err := c.fanoutCount(mineCtx, rt, &req, full)
+	defer q.Done()
+	out, err := c.fanoutCount(q, &req)
 	if err != nil {
 		c.writePlanError(w, err)
 		return
 	}
-	rt.Annotate("engine", out.Engine)
-	if out.Degraded {
-		rt.Annotate("degraded", "true")
-	}
-	if out.Truncated {
-		rt.Annotate("truncated", out.StopReason)
-	}
-	out.TraceID = rt.TraceID()
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	if req.ReturnTrace {
-		out.TraceFrag = rt.Spans()
-	}
-	out.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, out)
+	c.front.Reply(w, q, &out, req.Explain, req.ReturnTrace)
 }
 
 // shardTimeoutMS converts a split budget's deadline into the per-shard
@@ -1133,96 +903,70 @@ func parseMergedToken(tok string, n int) (int, string, error) {
 
 func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	var req server.EnumerateRequest
-	if !server.DecodeBody(w, r, 0, &req) {
+	if !c.front.Decode(w, r, &req) {
 		return
 	}
 	if c.cfg.Sliced {
-		writeError(w, http.StatusNotImplemented,
+		server.WriteError(w, http.StatusNotImplemented,
 			"enumerate is not supported on a sliced deployment: slice-local edge IDs are not globally meaningful", 0)
 		return
 	}
 	if req.RootWindow != nil {
-		writeError(w, http.StatusBadRequest, "root_window is assigned by the coordinator; query a worker directly to restrict roots", 0)
+		server.WriteError(w, http.StatusBadRequest, "root_window is assigned by the coordinator; query a worker directly to restrict roots", 0)
 		return
 	}
 	if req.Limit <= 0 {
-		writeError(w, http.StatusBadRequest, "limit must be positive", 0)
+		server.WriteError(w, http.StatusBadRequest, "limit must be positive", 0)
 		return
 	}
-	if req.Limit > c.cfg.EnumerateMaxLimit {
-		req.Limit = c.cfg.EnumerateMaxLimit
-	}
-	ctx, cleanup := c.requestCtx(r)
-	defer cleanup()
-	release, ok := c.admit(w, ctx, req.Priority)
+	req.Limit = min(req.Limit, c.cfg.EnumerateMaxLimit)
+	q, ok := c.front.Prelude(w, r, "enumerate", req.Priority, req.TimeoutMS, runctl.Budget{})
 	if !ok {
 		return
 	}
-	defer release()
-	start := time.Now()
-	full := runctl.DeriveBudget(start, time.Duration(req.TimeoutMS)*time.Millisecond, runctl.Budget{}, c.cfg.Caps)
-	mineCtx, cancel := ctx, func() {}
-	if !full.Deadline.IsZero() {
-		mineCtx, cancel = context.WithDeadline(ctx, full.Deadline)
-	}
-	defer cancel()
-
-	rt := obs.ReqTraceFrom(ctx)
-	psp := rt.Begin("gather.plan", rt.RootID())
-	qp, err := c.planFor(mineCtx, req.Dataset, planningDelta(req.DeltaSeconds))
+	defer q.Done()
+	mineCtx, rt := q.Ctx, q.Trace
+	qp, err := c.plan(q, req.Dataset, req.DeltaSeconds)
 	if err != nil {
-		psp.Set("outcome", "error")
-		psp.End()
 		c.writePlanError(w, err)
 		return
 	}
 	n := len(qp.ranges)
-	psp.Set("shards", strconv.Itoa(n))
-	psp.End()
 	shardIdx, inner, err := parseMergedToken(req.PageToken, n)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		server.WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	per := runctl.SplitBudget(full, 1, c.cfg.MergeMargin) // sequential walk: full wall per shard
+	per := runctl.SplitBudget(q.Full, 1, c.cfg.MergeMargin) // sequential walk: full wall per shard
 
 	// Walk shards in range order: within one shard the worker streams
 	// the deterministic chronological order, and ranges are ordered by
 	// root timestamp, so concatenation reproduces the global order.
-	out := server.EnumerateResponse{Matches: [][]int32{}}
+	// The walk cannot skip a shard without breaking the global order: a
+	// shard that is missing ends the page there, loudly.
+	out := &server.EnumerateResponse{Matches: [][]int32{}}
+	stopMissing := func() {
+		out.Truncated = true
+		out.StopReason = StopShardUnavailable
+		out.Partial = &server.PartialInfo{MissingShards: []string{setLabel(qp.members[shardIdx])}, Bound: "lower"}
+	}
 	for shardIdx < n && len(out.Matches) < req.Limit {
-		if !qp.ok[shardIdx] {
-			out.Truncated = true
-			out.StopReason = StopShardUnavailable
-			out.Partial = &server.PartialInfo{MissingShards: []string{setLabel(qp.members[shardIdx])}, Bound: "lower"}
+		if qp.infos[shardIdx] == nil {
+			stopMissing()
 			break
 		}
-		sreq := server.EnumerateRequest{
-			Dataset:      req.Dataset,
-			Motif:        req.Motif,
-			MotifSpec:    req.MotifSpec,
-			DeltaSeconds: req.DeltaSeconds,
-			TimeoutMS:    shardTimeoutMS(per),
-			Priority:     req.Priority,
-			Limit:        req.Limit - len(out.Matches),
-			PageToken:    inner,
-			RootWindow:   &server.TimeWindow{StartTS: int64(qp.ranges[shardIdx].Start), EndTS: int64(qp.ranges[shardIdx].End)},
-			ReturnTrace:  rt.TraceID() != "",
-		}
+		sreq := req
+		sreq.TimeoutMS, sreq.Limit, sreq.PageToken = shardTimeoutMS(per), req.Limit-len(out.Matches), inner
+		sreq.RootWindow = &server.TimeWindow{StartTS: int64(qp.ranges[shardIdx].Start), EndTS: int64(qp.ranges[shardIdx].End)}
+		sreq.Explain, sreq.ReturnTrace = false, rt.TraceID() != ""
 		var sres server.EnumerateResponse
 		if err := c.callSet(mineCtx, qp, shardIdx, req.Dataset, "/v1/enumerate", sreq, &sres); err != nil {
-			var se *shardError
-			if errors.As(err, &se) && se.status == http.StatusBadRequest {
-				writeError(w, http.StatusBadRequest, se.msg, 0)
+			if se := badRequest(err); se != nil {
+				server.WriteError(w, http.StatusBadRequest, se.msg, 0)
 				return
 			}
-			c.obs.Counter("gather.shard_failed").Add(1)
-			c.obs.Counter(obs.Labeled("gather.shard_failed_by", "shard", qp.urls[shardIdx])).Add(1)
-			// The walk cannot skip a shard without breaking the global
-			// order; stop here, loudly.
-			out.Truncated = true
-			out.StopReason = StopShardUnavailable
-			out.Partial = &server.PartialInfo{MissingShards: []string{setLabel(qp.members[shardIdx])}, Bound: "lower"}
+			c.countShard("gather.shard_failed", qp.urls[shardIdx])
+			stopMissing()
 			break
 		}
 		rt.Import(sres.TraceFrag, qp.urls[shardIdx])
@@ -1248,21 +992,7 @@ func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	if out.Truncated {
-		rt.Annotate("truncated", out.StopReason)
-	}
-	if out.Partial != nil {
-		rt.Annotate("partial", strings.Join(out.Partial.MissingShards, ","))
-	}
-	out.TraceID = rt.TraceID()
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	if req.ReturnTrace {
-		out.TraceFrag = rt.Spans()
-	}
-	out.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, out)
+	c.front.Reply(w, q, out, req.Explain, req.ReturnTrace)
 }
 
 // Profile / info / health -------------------------------------------------
@@ -1275,43 +1005,27 @@ func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 // bound, never a silently short fingerprint.
 func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var req server.ProfileRequest
-	if !server.DecodeBody(w, r, 0, &req) {
+	if !c.front.Decode(w, r, &req) {
 		return
 	}
-	ctx, cleanup := c.requestCtx(r)
-	defer cleanup()
-	release, ok := c.admit(w, ctx, req.Priority)
+	q, ok := c.front.Prelude(w, r, "profile", req.Priority, req.TimeoutMS, runctl.Budget{})
 	if !ok {
 		return
 	}
-	defer release()
-	start := time.Now()
-	full := runctl.DeriveBudget(start, time.Duration(req.TimeoutMS)*time.Millisecond, runctl.Budget{}, c.cfg.Caps)
-	mineCtx, cancel := ctx, func() {}
-	if !full.Deadline.IsZero() {
-		mineCtx, cancel = context.WithDeadline(ctx, full.Deadline)
-	}
-	defer cancel()
-
-	rt := obs.ReqTraceFrom(ctx)
-	creq := server.CountRequest{
+	defer q.Done()
+	merged, err := c.fanoutCount(q, &server.CountRequest{
 		Dataset:      req.Dataset,
 		Motifs:       []string{"M1", "M2", "M3", "M4"},
 		DeltaSeconds: req.DeltaSeconds,
 		TimeoutMS:    req.TimeoutMS,
 		Priority:     req.Priority,
-	}
-	merged, err := c.fanoutCount(mineCtx, rt, &creq, full)
+	})
 	if err != nil {
 		c.writePlanError(w, err)
 		return
 	}
-	perK := 1000.0 / float64(max(1, c.datasetEdges(mineCtx, req.Dataset)))
-	out := server.ProfileResponse{
-		WallMS:  float64(time.Since(start).Microseconds()) / 1000,
-		TraceID: rt.TraceID(),
-		Partial: merged.Partial,
-	}
+	perK := 1000.0 / float64(max(1, c.datasetEdges(q.Ctx, req.Dataset)))
+	out := &server.ProfileResponse{Partial: merged.Partial}
 	for _, e := range merged.PerMotif {
 		out.Profile = append(out.Profile, server.ProfileEntry{
 			Motif:      e.Motif,
@@ -1322,13 +1036,7 @@ func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
 			StopReason: e.StopReason,
 		})
 	}
-	if merged.Truncated {
-		rt.Annotate("truncated", merged.StopReason)
-	}
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	writeJSON(w, http.StatusOK, out)
+	c.front.Reply(w, q, out, req.Explain, false)
 }
 
 // datasetEdges reports the dataset's total edge count for density
@@ -1354,113 +1062,82 @@ func (c *Coordinator) datasetEdges(ctx context.Context, dataset string) int {
 // full-data mode; sliced deployments have no single identity to report.
 func (c *Coordinator) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
 	var req server.DatasetInfoRequest
-	if !server.DecodeBody(w, r, 0, &req) {
+	if !c.front.Decode(w, r, &req) {
 		return
 	}
 	if c.cfg.Sliced {
-		writeError(w, http.StatusNotImplemented, "datasetinfo is per-slice on a sliced deployment; query workers directly", 0)
+		server.WriteError(w, http.StatusNotImplemented, "datasetinfo is per-slice on a sliced deployment; query workers directly", 0)
 		return
 	}
-	ctx, cleanup := c.requestCtx(r)
+	ctx, cleanup := c.front.RequestCtx(r)
 	defer cleanup()
 	qp, err := c.planFor(ctx, req.Dataset, mint.DeltaHour)
 	if err != nil {
 		c.writePlanError(w, err)
 		return
 	}
-	for i := range qp.urls {
-		if !qp.ok[i] {
-			continue
-		}
-		if info, _, err := c.setInfo(ctx, qp.members[i], req.Dataset); err == nil {
-			writeJSON(w, http.StatusOK, info)
+	for _, info := range qp.infos {
+		if info != nil {
+			server.WriteJSON(w, http.StatusOK, info)
 			return
 		}
 	}
-	writeError(w, http.StatusServiceUnavailable, "no shard available", 0)
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	server.EchoTraceID(w, r)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteError(w, http.StatusServiceUnavailable, "no shard available", 0)
 }
 
 // handleReadyz live-probes every shard's /healthz and reports ready only
 // when a quorum answers: a coordinator whose fan-outs would all come
 // back partial should not receive traffic a load balancer could send to
-// a healthier peer.
+// a healthier peer. (The draining check runs first, in
+// server.Front.HandleReadyz.)
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	server.EchoTraceID(w, r)
-	if c.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.ProbeTimeout)
 	defer cancel()
 	// Probe every member of every set; a SET is healthy when any member
 	// answers — quorum counts sets, because a set with one live replica
 	// still serves its whole root window exactly.
-	type probe struct{ set, member int }
-	var probes []probe
-	for i, set := range c.sets {
-		for j := range set {
-			probes = append(probes, probe{i, j})
-		}
-	}
 	status := make([][]string, len(c.sets))
+	var wg sync.WaitGroup
 	for i, set := range c.sets {
 		status[i] = make([]string, len(set))
-	}
-	var wg sync.WaitGroup
-	for _, p := range probes {
-		wg.Add(1)
-		go func(p probe) {
-			defer wg.Done()
-			u := c.sets[p.set][p.member]
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, u+"/healthz", nil)
-			if err != nil {
-				status[p.set][p.member] = "unreachable"
-				return
-			}
-			resp, err := c.cfg.Client.Do(req)
-			if err != nil {
-				status[p.set][p.member] = "unreachable"
-				return
-			}
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				status[p.set][p.member] = "ok"
-			} else {
-				status[p.set][p.member] = fmt.Sprintf("status %d", resp.StatusCode)
-			}
-		}(p)
+		for j, u := range set {
+			wg.Add(1)
+			go func(st *string, u string) {
+				defer wg.Done()
+				*st = "unreachable"
+				req, err := http.NewRequestWithContext(ctx, http.MethodGet, u+"/healthz", nil)
+				if err != nil {
+					return
+				}
+				resp, err := c.cfg.Client.Do(req)
+				if err != nil {
+					return
+				}
+				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
+				resp.Body.Close()
+				*st = "ok"
+				if resp.StatusCode != http.StatusOK {
+					*st = fmt.Sprintf("status %d", resp.StatusCode)
+				}
+			}(&status[i][j], u)
+		}
 	}
 	wg.Wait()
-	var healthy atomic.Int64
+	healthy := 0
 	shards := map[string]string{}
 	for i, set := range c.sets {
 		setOK := false
 		for j, u := range set {
 			shards[u] = status[i][j]
-			if status[i][j] == "ok" {
-				setOK = true
-			}
+			setOK = setOK || status[i][j] == "ok"
 		}
 		if setOK {
-			healthy.Add(1)
+			healthy++
 		}
 	}
-	body := map[string]any{
-		"healthy": healthy.Load(),
-		"quorum":  c.cfg.Quorum,
-		"shards":  shards,
+	state, code := "ready", http.StatusOK
+	if healthy < c.cfg.Quorum {
+		state, code = "below quorum", http.StatusServiceUnavailable
 	}
-	if int(healthy.Load()) >= c.cfg.Quorum {
-		body["status"] = "ready"
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-	body["status"] = "below quorum"
-	writeJSON(w, http.StatusServiceUnavailable, body)
+	server.WriteJSON(w, code, map[string]any{"status": state, "healthy": healthy, "quorum": c.cfg.Quorum, "shards": shards})
 }

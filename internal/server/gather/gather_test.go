@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -352,5 +353,25 @@ func TestRetryAfterPropagatesWorstShard(t *testing.T) {
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("503 missing Retry-After header")
+	}
+}
+
+// TestCoordinatorMaxBodyBytes: the coordinator bounds request bodies
+// with its own MaxBodyBytes (mintd -max-body-bytes), as a worker does.
+// A 2 KiB body against a 1 KiB bound is a 413 on every body-carrying
+// route, while a small request still merges.
+func TestCoordinatorMaxBodyBytes(t *testing.T) {
+	_, ts := newWorker(t, map[string]*mint.Graph{"g": testGraph()}, nil)
+	_, cts := newCoordinator(t, []string{ts.URL}, func(cfg *Config) { cfg.MaxBodyBytes = 1 << 10 })
+	big := server.CountRequest{Dataset: "g", MotifSpec: strings.Repeat(" ", 2<<10)}
+	for _, path := range []string{"/v1/count", "/v1/enumerate", "/v1/profile", "/v1/datasetinfo"} {
+		if status, _ := postJSON(t, cts.URL+path, big, nil); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 2 KiB body: status %d, want 413", path, status)
+		}
+	}
+	var resp server.CountResponse
+	status, _ := postJSON(t, cts.URL+"/v1/count", server.CountRequest{Dataset: "g", Motif: "M1", DeltaSeconds: testDelta}, &resp)
+	if status != http.StatusOK || !resp.Exact {
+		t.Fatalf("small count: status %d, %+v", status, resp)
 	}
 }

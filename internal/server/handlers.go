@@ -1,13 +1,11 @@
 package server
 
-// HTTP surface of mintd. Each mining endpoint runs the same ladder:
-// decode → admission (shed early, honestly) → budget derivation →
-// dataset registry → breaker routing → engine → response with explicit
-// exactness/degradation/truncation markers.
+// The worker's API. Each mining endpoint runs the front end's ladder
+// (decode → admission → budget, then Reply; see front.go) around the
+// worker's role step: dataset registry → breaker routing → engine.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -236,163 +234,52 @@ type ErrorResponse struct {
 // Routing ----------------------------------------------------------------
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/count", s.instrument("count", s.handleCount))
-	s.mux.HandleFunc("POST /v1/enumerate", s.instrument("enumerate", s.handleEnumerate))
-	s.mux.HandleFunc("POST /v1/profile", s.instrument("profile", s.handleProfile))
-	s.mux.HandleFunc("POST /v1/datasetinfo", s.instrument("datasetinfo", s.handleDatasetInfo))
-	s.mux.HandleFunc("POST /v1/edges", s.instrument("edges", s.handleIngest))
-	s.mux.HandleFunc("POST /v1/standing", s.instrument("standing", s.handleStandingRegister))
-	s.mux.HandleFunc("GET /v1/standing", s.instrument("standing_list", s.handleStandingList))
-	s.mux.HandleFunc("DELETE /v1/standing/{name}", s.instrument("standing_delete", s.handleStandingUnregister))
-	s.mux.HandleFunc("POST /v1/replication/pull", s.instrument("replication_pull", s.handleReplicationPull))
-	s.mux.HandleFunc("GET /v1/replication/snapshot", s.instrument("replication_snapshot", s.handleReplicationSnapshot))
-	s.mux.HandleFunc("GET /v1/replication/status", s.instrument("replication_status", s.handleReplicationStatus))
-	s.mux.HandleFunc("POST /v1/promote", s.instrument("promote", s.handlePromote))
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /debug/trace/{id}", s.handleTraceDump)
-	s.mux.Handle("GET /metrics", obs.MetricsHandler(s.obs))
+	f := s.front
+	f.Handle("POST /v1/count", "count", s.handleCount)
+	f.Handle("POST /v1/enumerate", "enumerate", s.handleEnumerate)
+	f.Handle("POST /v1/profile", "profile", s.handleProfile)
+	f.Handle("POST /v1/datasetinfo", "datasetinfo", s.handleDatasetInfo)
+	f.Handle("POST /v1/edges", "edges", s.handleIngest)
+	f.Handle("POST /v1/standing", "standing", s.handleStandingRegister)
+	f.Handle("GET /v1/standing", "standing_list", s.handleStandingList)
+	f.Handle("DELETE /v1/standing/{name}", "standing_delete", s.handleStandingUnregister)
+	f.Handle("POST /v1/replication/pull", "replication_pull", s.handleReplicationPull)
+	f.Handle("GET /v1/replication/snapshot", "replication_snapshot", s.handleReplicationSnapshot)
+	f.Handle("GET /v1/replication/status", "replication_status", s.handleReplicationStatus)
+	f.Handle("POST /v1/promote", "promote", s.handlePromote)
+	f.HandleReadyz(s.handleReadyz)
 }
 
-// instrument wraps a mining handler with trace context resolution,
-// in-flight registration, per-endpoint metrics, a structured access-log
-// line, and a panic backstop (a handler bug becomes a 500 and a
-// counter, never a dead process). The X-Trace-Id header is stamped
-// before any outcome is decided, so shed and drain responses carry it
-// too.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt, sw, r := BeginTrace(w, r, "http."+name)
-		start := time.Now()
-		done, ok := s.beginRequest()
-		if !ok {
-			s.obs.Counter("http." + name + ".rejected_draining").Add(1)
-			rt.Annotate("outcome", "draining")
-			writeError(sw, http.StatusServiceUnavailable, "server is draining", RetryAfterSeconds(30*time.Second))
-			s.finishTrace(rt, name, sw.Status(), start)
-			return
-		}
-		s.obs.Counter("http." + name + ".requests").Add(1)
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.obs.Counter("http." + name + ".panics").Add(1)
-				writeError(sw, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", rec), 0)
-			}
-			s.obs.Histogram("http." + name + ".latency_ns").Observe(int64(time.Since(start)))
-			done()
-			s.finishTrace(rt, name, sw.Status(), start)
-		}()
-		h(sw, r)
+// Delta is a request's motif window δ: delta_seconds, or one hour when
+// unset. The coordinator plans its shards with the same default the
+// workers mine with.
+func Delta(seconds int64) mint.Timestamp {
+	if seconds <= 0 {
+		return mint.DeltaHour
 	}
+	return mint.Timestamp(seconds)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone = nothing to do
+// motifFor resolves a request's motif at δ: the compact spec (named
+// label) when set, otherwise the named motif (M1 when unnamed).
+func motifFor(label, name, spec string, delta mint.Timestamp) (*mint.Motif, error) {
+	if spec != "" {
+		return mint.ParseMotif(label, delta, spec)
+	}
+	if name == "" {
+		name = "M1"
+	}
+	return mint.MotifByName(name, delta)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string, retryAfter int) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
-	writeJSON(w, status, ErrorResponse{Error: msg, RetryAfterSeconds: retryAfter})
-}
-
-// DefaultMaxBodyBytes bounds a JSON request body when Config.MaxBodyBytes
-// is zero: generous enough for large ingest batches, small enough that a
-// single request cannot drive unbounded allocation.
-const DefaultMaxBodyBytes = 64 << 20
-
-// DecodeBody decodes one JSON request body through http.MaxBytesReader
-// (limit <= 0 means DefaultMaxBodyBytes). On failure it writes the error
-// response — 413 for an oversized body, 400 otherwise — and returns
-// false. Every body-carrying handler must come through here: it is the
-// server's request-size bound.
-func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	if limit <= 0 {
-		limit = DefaultMaxBodyBytes
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
-		var big *http.MaxBytesError
-		if errors.As(err, &big) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", big.Limit), 0)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
-		return false
-	}
-	return true
-}
-
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return DecodeBody(w, r, s.cfg.MaxBodyBytes, v)
-}
-
-// admit runs the admission ladder and writes the shed/timeout responses
-// itself; a nil release means the response is already written.
-func (s *Server) admit(w http.ResponseWriter, ctx context.Context, priority string, endpoint string) (func(), bool) {
-	rt := obs.ReqTraceFrom(ctx)
-	pri, err := ParsePriority(priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return nil, false
-	}
-	rt.Annotate("priority", pri.String())
-	sp := rt.Begin("admission.wait", rt.RootID())
-	release, err := s.adm.Acquire(ctx, pri)
-	if err == nil {
-		sp.Set("outcome", "admitted")
-		sp.End()
-		return release, true
-	}
-	var shed *ShedError
-	switch {
-	case errors.As(err, &shed):
-		sp.Set("outcome", "shed")
-		s.obs.Counter("http." + endpoint + ".shed").Add(1)
-		writeError(w, http.StatusTooManyRequests, err.Error(), RetryAfterSeconds(shed.RetryAfter))
-	case errors.Is(err, ErrDraining):
-		sp.Set("outcome", "draining")
-		rt.Annotate("outcome", "draining")
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(30*time.Second))
-	default: // queue timeout or client context expiry
-		sp.Set("outcome", "queue_timeout")
-		s.obs.Counter("http." + endpoint + ".queue_timeout").Add(1)
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
-	}
-	sp.End()
-	return nil, false
-}
-
-// loadWorkload resolves the dataset and motif; it writes its own error
-// responses (400 for caller mistakes, 503 for environment failures).
-// The dataset comes back pinned in the registry (eviction cannot race
-// the mining run); the caller must defer the returned release.
-func (s *Server) loadWorkload(w http.ResponseWriter, ctx context.Context, dataset, motifName, motifSpec string, deltaSeconds int64) (*mint.Graph, *mint.Motif, func(), bool) {
+// checkout pins a dataset in the registry under a registry.checkout
+// span (eviction cannot race the caller; defer the release). It writes
+// its own errors: 400 for a missing or unknown dataset, 503 for
+// environment failures.
+func (s *Server) checkout(w http.ResponseWriter, ctx context.Context, dataset string) (*mint.Graph, func(), bool) {
 	if dataset == "" {
-		writeError(w, http.StatusBadRequest, "dataset is required", 0)
-		return nil, nil, nil, false
-	}
-	delta := mint.Timestamp(deltaSeconds)
-	if delta <= 0 {
-		delta = mint.DeltaHour
-	}
-	var m *mint.Motif
-	var err error
-	if motifSpec != "" {
-		m, err = mint.ParseMotif("custom", delta, motifSpec)
-	} else {
-		name := motifName
-		if name == "" {
-			name = "M1"
-		}
-		m, err = mint.MotifByName(name, delta)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return nil, nil, nil, false
+		WriteError(w, http.StatusBadRequest, "dataset is required", 0)
+		return nil, nil, false
 	}
 	rt := obs.ReqTraceFrom(ctx)
 	sp := rt.Begin("registry.checkout", rt.RootID())
@@ -401,13 +288,25 @@ func (s *Server) loadWorkload(w http.ResponseWriter, ctx context.Context, datase
 	sp.End()
 	if err != nil {
 		if errors.Is(err, ErrUnknownDataset) {
-			writeError(w, http.StatusBadRequest, err.Error(), 0)
+			WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		} else {
-			writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
+			WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
 		}
+		return nil, nil, false
+	}
+	return g, release, true
+}
+
+// loadWorkload resolves the motif (400 on a bad one), then checks the
+// dataset out; the caller must defer the returned release.
+func (s *Server) loadWorkload(w http.ResponseWriter, ctx context.Context, dataset, motifName, motifSpec string, deltaSeconds int64) (*mint.Graph, *mint.Motif, func(), bool) {
+	m, err := motifFor("custom", motifName, motifSpec, Delta(deltaSeconds))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		return nil, nil, nil, false
 	}
-	return g, m, release, true
+	g, release, ok := s.checkout(w, ctx, dataset)
+	return g, m, release, ok
 }
 
 // rootWindowFor maps the wire-level root window onto the engine's.
@@ -428,70 +327,60 @@ func workloadKey(dataset string, m *mint.Motif) string {
 	return dataset + "/custom:" + m.String()
 }
 
-// budgetFor derives the request's budget and mining context. The
-// returned exact budget leaves a quarter of the wall headroom for the
-// estimator stage, mirroring the CLI fallback split.
-func (s *Server) budgetFor(ctx context.Context, timeoutMS, maxMatches, maxNodes int64) (mineCtx context.Context, cancel func(), full, exact runctl.Budget) {
-	now := time.Now()
-	full = runctl.DeriveBudget(now, time.Duration(timeoutMS)*time.Millisecond,
-		runctl.Budget{MaxMatches: maxMatches, MaxNodes: maxNodes}, s.cfg.Caps)
-	exact = full
-	if headroom := runctl.TimeoutFrom(now, full); headroom > 0 {
-		exact.Deadline = now.Add(headroom * 3 / 4)
-		mineCtx, cancel = context.WithDeadline(ctx, full.Deadline)
-		return mineCtx, cancel, full, exact
+// exactBudget leaves a quarter of the request's wall headroom for the
+// estimator stage of the fallback ladder, mirroring the CLI split.
+func exactBudget(q *Admitted) runctl.Budget {
+	b := q.Full
+	if headroom := runctl.TimeoutFrom(q.Start, b); headroom > 0 {
+		b.Deadline = q.Start.Add(headroom * 3 / 4)
 	}
-	return ctx, func() {}, full, exact
+	return b
 }
 
 // Handlers ---------------------------------------------------------------
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	var req CountRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	release, ok := s.admit(w, ctx, req.Priority, "count")
+	q, ok := s.front.Prelude(w, r, "count", req.Priority, req.TimeoutMS,
+		runctl.Budget{MaxMatches: req.MaxMatches, MaxNodes: req.MaxNodes})
 	if !ok {
 		return
 	}
-	defer release()
-	start := time.Now()
-	mineCtx, cancel, fullBudget, exactBudget := s.budgetFor(ctx, req.TimeoutMS, req.MaxMatches, req.MaxNodes)
-	defer cancel()
+	defer q.Done()
 	if len(req.Motifs) > 0 || len(req.MotifSpecs) > 0 {
 		// Batch mode: one co-mined run over the whole set. No sampling
 		// fallback exists for a motif set, so the batch gets the full
 		// budget — no estimator headroom to reserve.
 		if req.Motif != "" || req.MotifSpec != "" {
-			writeError(w, http.StatusBadRequest, "motifs/motif_specs conflicts with motif/motif_spec", 0)
+			WriteError(w, http.StatusBadRequest, "motifs/motif_specs conflicts with motif/motif_spec", 0)
 			return
 		}
 		if req.Supervised {
-			writeError(w, http.StatusBadRequest, "supervised batch requests are not supported", 0)
+			WriteError(w, http.StatusBadRequest, "supervised batch requests are not supported", 0)
 			return
 		}
-		s.handleCountBatch(w, mineCtx, &req, fullBudget, start)
+		s.handleCountBatch(w, q, &req)
 		return
 	}
-	g, m, releaseData, ok := s.loadWorkload(w, mineCtx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
+	g, m, releaseData, ok := s.loadWorkload(w, q.Ctx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
 	if !ok {
 		return
 	}
 	defer releaseData()
 	key := workloadKey(req.Dataset, m)
 	roots := rootWindowFor(req.RootWindow)
-	rt := obs.ReqTraceFrom(mineCtx)
+	rt := q.Trace
 	s.obs.Counter(obs.Labeled("server.workload.requests", "dataset", req.Dataset, "motif", m.Name)).Add(1)
 
 	if req.Supervised {
 		if roots != nil {
-			writeError(w, http.StatusBadRequest, "root_window is not supported with supervised", 0)
+			WriteError(w, http.StatusBadRequest, "root_window is not supported with supervised", 0)
 			return
 		}
-		s.handleCountSupervised(w, mineCtx, &req, g, m, key, exactBudget, start)
+		s.handleCountSupervised(w, q, &req, g, m, key)
 		return
 	}
 
@@ -501,7 +390,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	bsp.Set("decision", decision.String())
 	bsp.End()
 	if decision == Degrade {
-		s.serveDegraded(w, mineCtx, &req, g, m, roots, start)
+		s.serveDegraded(w, q, &req, g, m, roots)
 		return
 	}
 	msp := rt.Begin("mine", rt.RootID())
@@ -509,8 +398,8 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		tr = obs.NewTracer(128)
 	}
-	res, err := mint.CountWithFallback(mineCtx, g, m, mint.FallbackConfig{
-		Budget:  exactBudget,
+	res, err := mint.CountWithFallback(q.Ctx, g, m, mint.FallbackConfig{
+		Budget:  exactBudget(q),
 		Workers: s.cfg.Workers,
 		Chaos:   s.cfg.Chaos,
 		Obs:     s.obs,
@@ -521,54 +410,28 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	msp.Set("engine", res.Engine)
 	msp.End()
 	rt.ImportTracer(tr, msp.ID())
-	if err != nil || res.ExactResult.StopReason == mint.StopFaultInjected {
-		// A panic or injected fault is breaker evidence even when the
-		// estimator still salvaged an answer.
-		s.brk.Record(key, false)
-	} else {
-		s.brk.Record(key, true)
-	}
+	// A panic or injected fault is breaker evidence even when the
+	// estimator still salvaged an answer.
+	s.brk.Record(key, err == nil && res.ExactResult.StopReason != mint.StopFaultInjected)
 	if err != nil {
 		// The exact engine died (worker panic). Serve the degraded path
 		// rather than surfacing an opaque 500: the client gets an
 		// explicit estimate or a clean 503.
 		s.obs.Counter("server.exact_failed").Add(1)
-		s.serveDegraded(w, mineCtx, &req, g, m, roots, start)
+		s.serveDegraded(w, q, &req, g, m, roots)
 		return
 	}
-	s.writeCount(w, rt, &req, countResponse(res, start))
-}
-
-// writeCount annotates the trace with the response's loud markers,
-// attaches the trace fields the request asked for, and writes the
-// response.
-func (s *Server) writeCount(w http.ResponseWriter, rt *obs.ReqTrace, req *CountRequest, out CountResponse) {
-	rt.Annotate("engine", out.Engine)
-	if out.Degraded {
-		rt.Annotate("degraded", "true")
-	}
-	if out.Truncated {
-		rt.Annotate("truncated", out.StopReason)
-	}
-	out.TraceID = rt.TraceID()
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	if req.ReturnTrace {
-		out.TraceFrag = rt.Spans()
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.front.Reply(w, q, countResponse(res), req.Explain, req.ReturnTrace)
 }
 
 // countResponse maps a FallbackResult onto the wire contract.
-func countResponse(res mint.FallbackResult, start time.Time) CountResponse {
-	out := CountResponse{
+func countResponse(res mint.FallbackResult) *CountResponse {
+	out := &CountResponse{
 		Count:        res.Count,
 		Exact:        res.Exact,
 		Degraded:     res.Approximate,
 		Engine:       res.Engine,
 		ExactPartial: res.ExactPartial,
-		WallMS:       float64(time.Since(start).Microseconds()) / 1000,
 	}
 	if !res.Exact && !res.Approximate {
 		out.Truncated = true
@@ -584,28 +447,27 @@ func countResponse(res mint.FallbackResult, start time.Time) CountResponse {
 // Root-windowed requests (scatter-gather fan-out) never reach PRESTO —
 // the fallback layer returns the exact partial lower bound instead,
 // because an estimate cannot be scoped to a root window.
-func (s *Server) serveDegraded(w http.ResponseWriter, ctx context.Context, req *CountRequest, g *mint.Graph, m *mint.Motif, roots *mint.RootWindow, start time.Time) {
+func (s *Server) serveDegraded(w http.ResponseWriter, q *Admitted, req *CountRequest, g *mint.Graph, m *mint.Motif, roots *mint.RootWindow) {
 	s.obs.Counter("server.degraded_served").Add(1)
-	rt := obs.ReqTraceFrom(ctx)
-	sp := rt.Begin("mine.degraded", rt.RootID())
-	res, err := mint.CountWithFallback(ctx, g, m, mint.FallbackConfig{
+	sp := q.Trace.Begin("mine.degraded", q.Trace.RootID())
+	res, err := mint.CountWithFallback(q.Ctx, g, m, mint.FallbackConfig{
 		// One checkpoint quantum of exact work: enough to answer tiny
 		// workloads exactly, cheap enough to not matter when it truncates.
 		Budget:  runctl.Budget{MaxNodes: runctl.CheckInterval},
 		Workers: 1,
 		Obs:     s.obs,
 		Roots:   roots,
-		TraceID: rt.TraceID(),
+		TraceID: q.Trace.TraceID(),
 	})
 	sp.Set("engine", res.Engine)
 	sp.End()
 	if err != nil {
 		s.obs.Counter("server.degraded_failed").Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			"degraded path failed: "+err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
+		WriteError(w, http.StatusServiceUnavailable,
+			"degraded path failed: "+err.Error(), RetryAfterSeconds(s.front.RetryAfter()))
 		return
 	}
-	s.writeCount(w, rt, req, countResponse(res, start))
+	s.front.Reply(w, q, countResponse(res), req.Explain, req.ReturnTrace)
 }
 
 // batchMotifs resolves a batch request's motif list: named motifs
@@ -613,10 +475,7 @@ func (s *Server) serveDegraded(w http.ResponseWriter, ctx context.Context, req *
 // order the PerMotif entries (and the coordinator's entrywise merge)
 // are keyed on.
 func batchMotifs(req *CountRequest) ([]*mint.Motif, error) {
-	delta := mint.Timestamp(req.DeltaSeconds)
-	if delta <= 0 {
-		delta = mint.DeltaHour
-	}
+	delta := Delta(req.DeltaSeconds)
 	motifs := make([]*mint.Motif, 0, len(req.Motifs)+len(req.MotifSpecs))
 	for _, name := range req.Motifs {
 		m, err := mint.MotifByName(name, delta)
@@ -641,20 +500,18 @@ func batchMotifs(req *CountRequest) ([]*mint.Motif, error) {
 // exact count or a truncated lower bound flagged with its stop reason
 // — a fault-injected or panicked run answers 200 with every affected
 // entry loudly truncated, never a silently short sum.
-func (s *Server) handleCountBatch(w http.ResponseWriter, ctx context.Context, req *CountRequest, full runctl.Budget, start time.Time) {
+func (s *Server) handleCountBatch(w http.ResponseWriter, q *Admitted, req *CountRequest) {
 	motifs, err := batchMotifs(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	// Registry checkout only — the dummy motif name mirrors
-	// handleProfile; the real set is resolved above.
-	g, _, releaseData, ok := s.loadWorkload(w, ctx, req.Dataset, "M1", "", req.DeltaSeconds)
+	g, releaseData, ok := s.checkout(w, q.Ctx, req.Dataset)
 	if !ok {
 		return
 	}
 	defer releaseData()
-	rt := obs.ReqTraceFrom(ctx)
+	rt := q.Trace
 	for _, m := range motifs {
 		s.obs.Counter(obs.Labeled("server.workload.requests", "dataset", req.Dataset, "motif", m.Name)).Add(1)
 	}
@@ -668,8 +525,8 @@ func (s *Server) handleCountBatch(w http.ResponseWriter, ctx context.Context, re
 		// Like enumeration, a batch has no degraded engine: shed cleanly
 		// while the breaker cools down.
 		s.obs.Counter("server.batch_degraded_unavailable").Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			"workload breaker open and batch counting has no degraded mode", RetryAfterSeconds(s.adm.RetryAfter()))
+		WriteError(w, http.StatusServiceUnavailable,
+			"workload breaker open and batch counting has no degraded mode", RetryAfterSeconds(s.front.RetryAfter()))
 		return
 	}
 	msp := rt.Begin("mine.batch", rt.RootID())
@@ -677,28 +534,27 @@ func (s *Server) handleCountBatch(w http.ResponseWriter, ctx context.Context, re
 	if rt != nil {
 		tr = obs.NewTracer(128)
 	}
-	res, err := mint.CountManyOpts(ctx, g, motifs, mint.BatchOptions{
+	res, err := mint.CountManyOpts(q.Ctx, g, motifs, mint.BatchOptions{
 		Workers: s.cfg.Workers,
 		Obs:     s.obs,
 		Chaos:   s.cfg.Chaos,
 		Roots:   rootWindowFor(req.RootWindow),
 		Trace:   tr,
 		TraceID: rt.TraceID(),
-	}, full)
+	}, q.Full)
 	msp.Set("groups", strconv.Itoa(res.Groups))
 	msp.End()
 	rt.ImportTracer(tr, msp.ID())
 	s.brk.Record(key, err == nil && res.StopReason != mint.StopFaultInjected)
 	if err != nil && len(res.PerMotif) == 0 {
 		// Setup failure (bad motif set) — nothing loud to serve.
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.front.RetryAfter()))
 		return
 	}
-	out := CountResponse{
+	out := &CountResponse{
 		Engine:   mint.EngineExact,
 		Exact:    !res.Truncated,
 		PerMotif: make([]MotifCountEntry, len(res.PerMotif)),
-		WallMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}
 	for i, pm := range res.PerMotif {
 		e := MotifCountEntry{
@@ -720,101 +576,91 @@ func (s *Server) handleCountBatch(w http.ResponseWriter, ctx context.Context, re
 		out.Truncated = true
 		out.StopReason = res.StopReason.String()
 	}
-	s.writeCount(w, rt, req, out)
+	s.front.Reply(w, q, out, req.Explain, req.ReturnTrace)
 }
 
 // handleCountSupervised runs the checkpointing miner so a drain (or
 // crash) mid-request leaves resumable evidence instead of lost work.
-func (s *Server) handleCountSupervised(w http.ResponseWriter, ctx context.Context, req *CountRequest, g *mint.Graph, m *mint.Motif, key string, b runctl.Budget, start time.Time) {
+func (s *Server) handleCountSupervised(w http.ResponseWriter, q *Admitted, req *CountRequest, g *mint.Graph, m *mint.Motif, key string) {
 	if s.cfg.CheckpointDir == "" {
-		writeError(w, http.StatusBadRequest, "supervised requests need a server checkpoint dir (-checkpoint-dir)", 0)
+		WriteError(w, http.StatusBadRequest, "supervised requests need a server checkpoint dir (-checkpoint-dir)", 0)
 		return
 	}
-	rt := obs.ReqTraceFrom(ctx)
 	path := filepath.Join(s.cfg.CheckpointDir,
 		fmt.Sprintf("req-%d-%s.ckpt", s.reqSeq.Add(1), sanitizeKey(key)))
-	sp := rt.Begin("mine.supervised", rt.RootID())
-	res, err := mint.CountSupervisedCtx(ctx, g, m, s.cfg.Workers, b,
+	sp := q.Trace.Begin("mine.supervised", q.Trace.RootID())
+	res, err := mint.CountSupervisedCtx(q.Ctx, g, m, s.cfg.Workers, exactBudget(q),
 		mint.SupervisorConfig{CheckpointPath: path}, s.cfg.Chaos)
 	sp.End()
 	if err != nil {
 		s.brk.Record(key, false)
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.front.RetryAfter()))
 		return
 	}
 	s.brk.Record(key, res.StopReason != mint.StopFaultInjected && len(res.Poisoned) == 0)
-	out := CountResponse{
+	out := &CountResponse{
 		Count:        float64(res.Matches),
 		Exact:        !res.Truncated,
 		Engine:       mint.EngineExact,
 		ExactPartial: res.Matches,
 		Checkpoint:   path,
-		WallMS:       float64(time.Since(start).Microseconds()) / 1000,
 	}
 	if res.Truncated {
 		out.Engine = mint.EnginePartial
 		out.Truncated = true
 		out.StopReason = res.StopReason.String()
 	}
-	s.writeCount(w, rt, req, out)
+	s.front.Reply(w, q, out, req.Explain, req.ReturnTrace)
 }
 
 func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	var req EnumerateRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
 	if req.Limit <= 0 {
-		writeError(w, http.StatusBadRequest, "limit must be positive", 0)
+		WriteError(w, http.StatusBadRequest, "limit must be positive", 0)
 		return
 	}
-	if req.Limit > s.cfg.EnumerateMaxLimit {
-		req.Limit = s.cfg.EnumerateMaxLimit
-	}
+	req.Limit = min(req.Limit, s.cfg.EnumerateMaxLimit)
 	offset := int64(0)
 	if req.PageToken != "" {
 		var err error
 		offset, err = strconv.ParseInt(req.PageToken, 10, 64)
 		if err != nil || offset < 0 {
-			writeError(w, http.StatusBadRequest, "malformed page_token", 0)
+			WriteError(w, http.StatusBadRequest, "malformed page_token", 0)
 			return
 		}
 	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	release, ok := s.admit(w, ctx, req.Priority, "enumerate")
+	q, ok := s.front.Prelude(w, r, "enumerate", req.Priority, req.TimeoutMS, runctl.Budget{})
 	if !ok {
 		return
 	}
-	defer release()
-	start := time.Now()
-	mineCtx, cancel, full, _ := s.budgetFor(ctx, req.TimeoutMS, 0, 0)
-	defer cancel()
-	g, m, releaseData, ok := s.loadWorkload(w, mineCtx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
+	defer q.Done()
+	g, m, releaseData, ok := s.loadWorkload(w, q.Ctx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
 	if !ok {
 		return
 	}
 	defer releaseData()
 	key := workloadKey(req.Dataset, m)
-	rt := obs.ReqTraceFrom(mineCtx)
 	if s.brk.Acquire(key) == Degrade {
 		// Enumeration has no sampling fallback: shed cleanly while the
 		// breaker cools down rather than burn a slot on a likely panic.
 		s.obs.Counter("server.enumerate_degraded_unavailable").Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			"workload breaker open and enumeration has no degraded mode", RetryAfterSeconds(s.adm.RetryAfter()))
+		WriteError(w, http.StatusServiceUnavailable,
+			"workload breaker open and enumeration has no degraded mode", RetryAfterSeconds(s.front.RetryAfter()))
 		return
 	}
 
 	// Pagination rides the deterministic chronological search order: the
 	// budget stops the walk at offset+limit matches, and the first
 	// offset are skipped as they stream by.
-	b := full
+	b := q.Full
 	b.MaxMatches = offset + int64(req.Limit)
 	matches := make([][]int32, 0, req.Limit)
 	var seen int64
-	msp := rt.Begin("mine.enumerate", rt.RootID())
-	res := mint.EnumerateChaosRootsCtx(mineCtx, g, m, b, s.cfg.Chaos, rootWindowFor(req.RootWindow), func(edges []int32) {
+	msp := q.Trace.Begin("mine.enumerate", q.Trace.RootID())
+	res := mint.EnumerateChaosRootsCtx(q.Ctx, g, m, b, s.cfg.Chaos, rootWindowFor(req.RootWindow), func(edges []int32) {
 		seen++
 		if seen <= offset {
 			return
@@ -825,10 +671,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	})
 	msp.End()
 	s.brk.Record(key, res.StopReason != mint.StopFaultInjected)
-	out := EnumerateResponse{
-		Matches: matches,
-		WallMS:  float64(time.Since(start).Microseconds()) / 1000,
-	}
+	out := &EnumerateResponse{Matches: matches}
 	switch {
 	case res.Truncated && res.StopReason == mint.StopMatchBudget:
 		// The page filled: not a truncation, just the next page.
@@ -836,51 +679,33 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	case res.Truncated:
 		out.Truncated = true
 		out.StopReason = res.StopReason.String()
-		rt.Annotate("truncated", out.StopReason)
 	}
-	out.TraceID = rt.TraceID()
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	if req.ReturnTrace {
-		out.TraceFrag = rt.Spans()
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.front.Reply(w, q, out, req.Explain, req.ReturnTrace)
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var req ProfileRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	release, ok := s.admit(w, ctx, req.Priority, "profile")
+	q, ok := s.front.Prelude(w, r, "profile", req.Priority, req.TimeoutMS, runctl.Budget{})
 	if !ok {
 		return
 	}
-	defer release()
-	start := time.Now()
-	mineCtx, cancel, full, _ := s.budgetFor(ctx, req.TimeoutMS, 0, 0)
-	defer cancel()
-	g, _, releaseData, ok := s.loadWorkload(w, mineCtx, req.Dataset, "M1", "", req.DeltaSeconds)
+	defer q.Done()
+	g, releaseData, ok := s.checkout(w, q.Ctx, req.Dataset)
 	if !ok {
 		return
 	}
 	defer releaseData()
-	delta := mint.Timestamp(req.DeltaSeconds)
-	if delta <= 0 {
-		delta = mint.DeltaHour
-	}
-	rt := obs.ReqTraceFrom(mineCtx)
-	msp := rt.Begin("mine.profile", rt.RootID())
-	counts, err := mint.ProfileCtx(mineCtx, g, mint.EvaluationMotifs(delta), s.cfg.Workers, full)
+	msp := q.Trace.Begin("mine.profile", q.Trace.RootID())
+	counts, err := mint.ProfileCtx(q.Ctx, g, mint.EvaluationMotifs(Delta(req.DeltaSeconds)), s.cfg.Workers, q.Full)
 	msp.End()
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.front.RetryAfter()))
 		return
 	}
-	out := ProfileResponse{WallMS: float64(time.Since(start).Microseconds()) / 1000, TraceID: rt.TraceID()}
+	out := &ProfileResponse{}
 	for _, c := range counts {
 		e := ProfileEntry{
 			Motif:     c.Motif.Name,
@@ -894,10 +719,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Profile = append(out.Profile, e)
 	}
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.front.Reply(w, q, out, req.Explain, false)
 }
 
 // handleDatasetInfo reports the shape, time extent, and identity
@@ -909,22 +731,13 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 // and must stay answerable under load so coordinators can plan.
 func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
 	var req DatasetInfoRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
-	if req.Dataset == "" {
-		writeError(w, http.StatusBadRequest, "dataset is required", 0)
-		return
-	}
-	ctx, cleanup := s.requestCtx(r)
+	ctx, cleanup := s.front.RequestCtx(r)
 	defer cleanup()
-	g, release, err := s.data.Checkout(ctx, req.Dataset)
-	if err != nil {
-		if errors.Is(err, ErrUnknownDataset) {
-			writeError(w, http.StatusBadRequest, err.Error(), 0)
-		} else {
-			writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
-		}
+	g, release, ok := s.checkout(w, ctx, req.Dataset)
+	if !ok {
 		return
 	}
 	defer release()
@@ -939,25 +752,15 @@ func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
 		out.MinTS = int64(g.Edges[0].Time)
 		out.MaxTS = int64(g.Edges[n-1].Time)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-// Health -----------------------------------------------------------------
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	EchoTraceID(w, r)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
+// handleReadyz reports the worker ready once its datasets can be served
+// (the draining check runs first, in Front.HandleReadyz).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	EchoTraceID(w, r)
-	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
 	out := map[string]any{
 		"status":   "ready",
-		"queued":   s.adm.queued.Load(),
+		"queued":   s.front.adm.queued.Load(),
 		"datasets": s.data.Names(),
 	}
 	if s.cfg.Ingest.Enabled() {
@@ -971,12 +774,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			if p, ok := s.replayProg.Load().(edgelog.ReplayProgress); ok {
 				body["progress"] = p
 			}
-			writeJSON(w, http.StatusServiceUnavailable, body)
+			WriteJSON(w, http.StatusServiceUnavailable, body)
 			return
 		}
 		st, err := s.liveStream()
 		if err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"status": "ingest_failed", "error": err.Error(),
 			})
 			return
@@ -991,7 +794,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 				if f != nil {
 					body["replication"] = f.Status()
 				}
-				writeJSON(w, http.StatusServiceUnavailable, body)
+				WriteJSON(w, http.StatusServiceUnavailable, body)
 				return
 			}
 			out["replication"] = f.Status()
@@ -1011,7 +814,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			"replay_truncated": rec.Truncated,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // sanitizeKey makes a workload key filesystem-safe for checkpoint names.

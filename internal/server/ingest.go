@@ -291,18 +291,22 @@ type StandingListResponse struct {
 
 // Handlers ---------------------------------------------------------------
 
-// writeLiveError maps live-stream resolution errors onto the response
-// contract: disabled is the caller's mistake (400), replaying and
-// broken are environment (503 with Retry-After).
-func (s *Server) writeLiveError(w http.ResponseWriter, err error) {
+// liveOr resolves the ingest stream, or writes the error that explains
+// why it is not servable: disabled is the caller's mistake (400),
+// replaying and broken are environment (503 with Retry-After).
+func (s *Server) liveOr(w http.ResponseWriter) (*mint.Stream, bool) {
+	st, err := s.liveStream()
 	switch {
+	case err == nil:
+		return st, true
 	case errors.Is(err, ErrIngestDisabled):
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		WriteError(w, http.StatusBadRequest, err.Error(), 0)
 	case errors.Is(err, ErrReplaying):
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(2*time.Second))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(2*time.Second))
 	default:
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(30*time.Second))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(30*time.Second))
 	}
+	return nil, false
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -310,58 +314,54 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
 	if len(req.Edges) == 0 {
-		writeError(w, http.StatusBadRequest, "edges are required", 0)
+		WriteError(w, http.StatusBadRequest, "edges are required", 0)
 		return
 	}
 	if max := s.cfg.Ingest.maxBatch(); len(req.Edges) > max {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d edges exceeds the %d-edge limit (split the batch)", len(req.Edges), max), 0)
 		return
 	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
 	// Ingestion rides the same admission queue as mining: a server
 	// drowning in queries sheds appends too (the client retries with
 	// the same client_seq, so shedding is free), and the queue bound is
 	// the ingest backpressure.
-	release, ok := s.admit(w, ctx, req.Priority, "edges")
+	q, ok := s.front.admit(w, r, "edges", req.Priority)
 	if !ok {
 		return
 	}
-	defer release()
-	start := time.Now()
-	st, err := s.liveStream()
-	if err != nil {
-		s.writeLiveError(w, err)
+	defer q.Done()
+	st, ok := s.liveOr(w)
+	if !ok {
 		return
 	}
 	edges := make([]mint.Edge, len(req.Edges))
 	for i, e := range req.Edges {
 		if e.Src < 0 || e.Dst < 0 || e.Src > math.MaxInt32 || e.Dst > math.MaxInt32 {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				"edge endpoints must fit int32 and be non-negative", 0)
 			return
 		}
 		edges[i] = mint.Edge{Src: mint.NodeID(e.Src), Dst: mint.NodeID(e.Dst), Time: mint.Timestamp(e.Time)}
 	}
-	rt := obs.ReqTraceFrom(ctx)
+	rt := q.Trace
 	sp := rt.Begin("ingest.append", rt.RootID())
-	res, err := st.Append(ctx, req.ClientID, req.ClientSeq, edges)
+	res, err := st.Append(q.Ctx, req.ClientID, req.ClientSeq, edges)
 	sp.End()
 	if err != nil {
 		s.obs.Counter("server.ingest.append_failed").Add(1)
 		if errors.Is(err, mint.ErrInvalidEdge) {
-			writeError(w, http.StatusBadRequest, err.Error(), 0)
+			WriteError(w, http.StatusBadRequest, err.Error(), 0)
 			return
 		}
 		// Durability failure (WAL write/fsync, injected fault): nothing
 		// was applied; the client's retry with the same client_seq is
 		// safe.
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
 		return
 	}
 	if !res.Dup {
@@ -381,10 +381,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Stale:       res.Stale,
 		Edges:       info.Edges,
 		Fingerprint: info.Fingerprint,
-		WallMS:      float64(time.Since(start).Microseconds()) / 1000,
+		WallMS:      float64(time.Since(q.Start).Microseconds()) / 1000,
 		TraceID:     rt.TraceID(),
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) {
@@ -392,76 +392,56 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var req StandingRegisterRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "name is required", 0)
+		WriteError(w, http.StatusBadRequest, "name is required", 0)
 		return
 	}
-	delta := mint.Timestamp(req.DeltaSeconds)
-	if delta <= 0 {
-		delta = mint.DeltaHour
-	}
-	var m *mint.Motif
-	var err error
-	if req.MotifSpec != "" {
-		m, err = mint.ParseMotif(req.Name, delta, req.MotifSpec)
-	} else {
-		name := req.Motif
-		if name == "" {
-			name = "M1"
-		}
-		m, err = mint.MotifByName(name, delta)
-	}
+	m, err := motifFor(req.Name, req.Motif, req.MotifSpec, Delta(req.DeltaSeconds))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
 	// Registration runs a full mine to seed the count; it pays
 	// admission like any mining request.
-	release, ok := s.admit(w, ctx, req.Priority, "standing")
+	q, ok := s.front.admit(w, r, "standing", req.Priority)
 	if !ok {
 		return
 	}
-	defer release()
-	start := time.Now()
-	st, err := s.liveStream()
-	if err != nil {
-		s.writeLiveError(w, err)
+	defer q.Done()
+	st, ok := s.liveOr(w)
+	if !ok {
 		return
 	}
-	rt := obs.ReqTraceFrom(ctx)
-	sp := rt.Begin("ingest.register", rt.RootID())
-	sc, err := st.Register(ctx, req.Name, m)
+	sp := q.Trace.Begin("ingest.register", q.Trace.RootID())
+	sc, err := st.Register(q.Ctx, req.Name, m)
 	sp.End()
 	if err != nil {
 		// Register refuses truncated initial mines rather than seeding a
 		// silently short baseline.
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.front.RetryAfter()))
 		return
 	}
-	writeJSON(w, http.StatusOK, StandingResponse{
+	WriteJSON(w, http.StatusOK, StandingResponse{
 		Standing: sc,
-		WallMS:   float64(time.Since(start).Microseconds()) / 1000,
-		TraceID:  rt.TraceID(),
+		WallMS:   float64(time.Since(q.Start).Microseconds()) / 1000,
+		TraceID:  q.Trace.TraceID(),
 	})
 }
 
 func (s *Server) handleStandingList(w http.ResponseWriter, r *http.Request) {
-	ctx, cleanup := s.requestCtx(r)
+	ctx, cleanup := s.front.RequestCtx(r)
 	defer cleanup()
 	start := time.Now()
-	st, err := s.liveStream()
-	if err != nil {
-		s.writeLiveError(w, err)
+	st, ok := s.liveOr(w)
+	if !ok {
 		return
 	}
 	rt := obs.ReqTraceFrom(ctx)
 	info := st.Info()
-	writeJSON(w, http.StatusOK, StandingListResponse{
+	WriteJSON(w, http.StatusOK, StandingListResponse{
 		Dataset:  s.cfg.Ingest.Name(),
 		Seq:      info.Seq,
 		Standing: st.Standing(),
@@ -476,22 +456,21 @@ func (s *Server) handleStandingUnregister(w http.ResponseWriter, r *http.Request
 	}
 	name := r.PathValue("name")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, "name is required", 0)
+		WriteError(w, http.StatusBadRequest, "name is required", 0)
 		return
 	}
-	st, err := s.liveStream()
-	if err != nil {
-		s.writeLiveError(w, err)
+	st, ok := s.liveOr(w)
+	if !ok {
 		return
 	}
 	ok, err := st.Unregister(name)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(30*time.Second))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(30*time.Second))
 		return
 	}
 	if !ok {
-		writeError(w, http.StatusNotFound, "no standing query named "+name, 0)
+		WriteError(w, http.StatusNotFound, "no standing query named "+name, 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "unregistered", "name": name})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "unregistered", "name": name})
 }

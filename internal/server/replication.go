@@ -94,12 +94,12 @@ func (s *Server) currentFollower() *replica.Follower {
 // be a split-brain double count). Returns false after writing the error.
 func (s *Server) gateWrites(w http.ResponseWriter) bool {
 	if s.fenced.Load() {
-		writeError(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			"this node was deposed (a newer replication epoch exists); refusing writes", 0)
 		return false
 	}
 	if src, ok := s.followingSource(); ok {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			"this node is a follower of "+src+"; send writes to the primary", 0)
 		return false
 	}
@@ -110,17 +110,16 @@ func (s *Server) gateWrites(w http.ResponseWriter) bool {
 // is the fencing probe: newer than ours means we were deposed.
 func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) {
 	var req replica.PullRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
 	if req.Dataset != "" && req.Dataset != s.cfg.Ingest.Name() {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("dataset %q is not this node's live dataset (%q)", req.Dataset, s.cfg.Ingest.Name()), 0)
 		return
 	}
-	st, err := s.liveStream()
-	if err != nil {
-		s.writeLiveError(w, err)
+	st, ok := s.liveOr(w)
+	if !ok {
 		return
 	}
 	epoch := st.Epoch()
@@ -128,17 +127,17 @@ func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) {
 		if !s.fenced.Swap(true) {
 			s.obs.Counter("server.replication.fenced").Add(1)
 		}
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			fmt.Sprintf("epoch fence: pull carries epoch %d, this node is at %d — deposed, refusing to ship", req.Epoch, epoch), 0)
 		return
 	}
 	if s.fenced.Load() {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			"this node was deposed (a newer replication epoch exists); not shipping records", 0)
 		return
 	}
 
-	ctx, cleanup := s.requestCtx(r)
+	ctx, cleanup := s.front.RequestCtx(r)
 	defer cleanup()
 	wait := time.Duration(req.WaitMS) * time.Millisecond
 	if wait > maxPullWait {
@@ -148,7 +147,7 @@ func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) {
 	for st.Info().Seq < req.FromSeq && wait > 0 && time.Now().Before(deadline) {
 		select {
 		case <-ctx.Done():
-			writeError(w, http.StatusServiceUnavailable, "pull cancelled", 0)
+			WriteError(w, http.StatusServiceUnavailable, "pull cancelled", 0)
 			return
 		case <-time.After(50 * time.Millisecond):
 		}
@@ -170,7 +169,7 @@ func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, edgelog.ErrCompacted):
 		out.Compacted = true
 	case err != nil:
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
 		return
 	default:
 		out.TailBytes = tail
@@ -180,45 +179,43 @@ func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) {
 		}
 		s.obs.Counter("server.replication.shipped_records").Add(int64(len(recs)))
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleReplicationSnapshot ships the on-disk snapshot for a follower
 // whose position was compacted away.
 func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, r *http.Request) {
-	st, err := s.liveStream()
-	if err != nil {
-		s.writeLiveError(w, err)
+	st, ok := s.liveOr(w)
+	if !ok {
 		return
 	}
 	if s.fenced.Load() {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			"this node was deposed (a newer replication epoch exists); not shipping a snapshot", 0)
 		return
 	}
 	snap, err := st.LoadSnapshot()
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
+		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
 		return
 	}
 	if snap == nil {
-		writeError(w, http.StatusNotFound, "no snapshot exists yet", 0)
+		WriteError(w, http.StatusNotFound, "no snapshot exists yet", 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, replica.SnapshotResponse{Dataset: s.cfg.Ingest.Name(), Snapshot: snap})
+	WriteJSON(w, http.StatusOK, replica.SnapshotResponse{Dataset: s.cfg.Ingest.Name(), Snapshot: snap})
 }
 
 // handleReplicationStatus reports this node's replication view: a
 // follower answers with its sync state, a primary with its position.
 func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.liveStream()
-	if err != nil {
-		s.writeLiveError(w, err)
+	st, ok := s.liveOr(w)
+	if !ok {
 		return
 	}
 	if _, following := s.followingSource(); following {
 		if f := s.currentFollower(); f != nil {
-			writeJSON(w, http.StatusOK, f.Status())
+			WriteJSON(w, http.StatusOK, f.Status())
 			return
 		}
 	}
@@ -227,7 +224,7 @@ func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request)
 	if s.fenced.Load() {
 		state = "fenced"
 	}
-	writeJSON(w, http.StatusOK, replica.Status{
+	WriteJSON(w, http.StatusOK, replica.Status{
 		Dataset:     s.cfg.Ingest.Name(),
 		Role:        "primary",
 		State:       state,
@@ -243,13 +240,12 @@ func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request)
 // to primary. Refuses diverged followers always; refuses laggy ones
 // unless ?force=1 explicitly accepts losing the unreplicated tail.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	st, err := s.liveStream()
-	if err != nil {
-		s.writeLiveError(w, err)
+	st, ok := s.liveOr(w)
+	if !ok {
 		return
 	}
 	if s.fenced.Load() {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			"this node was deposed (a newer replication epoch exists); it cannot be promoted", 0)
 		return
 	}
@@ -261,7 +257,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	f, stop, done := s.follower, s.followerStop, s.followerDone
 	s.replMu.Unlock()
 	if alreadyPrimary {
-		writeJSON(w, http.StatusOK, PromoteResponse{
+		WriteJSON(w, http.StatusOK, PromoteResponse{
 			Status: "already_primary", Dataset: s.cfg.Ingest.Name(), Epoch: st.Epoch(),
 		})
 		return
@@ -273,12 +269,12 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if stat.State == replica.StateDiverged {
 			// Force never overrides divergence: a diverged follower's
 			// graph is not a lagging copy, it is a different history.
-			writeError(w, http.StatusConflict,
+			WriteError(w, http.StatusConflict,
 				"refusing to promote a diverged follower: "+stat.LastError, 0)
 			return
 		}
 		if !stat.CaughtUp && stat.State != replica.StateStaleSource && !force {
-			writeError(w, http.StatusConflict, fmt.Sprintf(
+			WriteError(w, http.StatusConflict, fmt.Sprintf(
 				"follower is %s (lag %d records, %d bytes); promote with ?force=1 to accept losing the unreplicated tail",
 				stat.State, stat.LagRecords, stat.LagBytes), 0)
 			return
@@ -291,10 +287,10 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 	epoch := st.Epoch()
 	if err := st.BumpEpoch(epoch + 1); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "promotion failed to seal the log: "+err.Error(), 0)
+		WriteError(w, http.StatusServiceUnavailable, "promotion failed to seal the log: "+err.Error(), 0)
 		return
 	}
-	ctx, cleanup := s.requestCtx(r)
+	ctx, cleanup := s.front.RequestCtx(r)
 	defer cleanup()
 	if err := st.Refresh(ctx); err != nil {
 		// Standing counts stay loudly stale; the promotion itself stands.
@@ -305,7 +301,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.replMu.Unlock()
 	s.data.Invalidate(s.cfg.Ingest.Name())
 	s.obs.Counter("server.promotions").Add(1)
-	writeJSON(w, http.StatusOK, PromoteResponse{
+	WriteJSON(w, http.StatusOK, PromoteResponse{
 		Status: "promoted", Dataset: s.cfg.Ingest.Name(), Epoch: epoch + 1,
 	})
 }

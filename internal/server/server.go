@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mint"
 	"mint/internal/datasets"
@@ -90,27 +89,11 @@ type Config struct {
 // Server is the serving core. Create with New, mount Handler, and call
 // Drain exactly once on the way out.
 type Server struct {
-	cfg    Config
-	obs    *obs.Registry
-	data   *registry.Registry
-	adm    *Admission
-	brk    *BreakerGroup
-	mux    *http.ServeMux
-	start  time.Time
-	traces *obs.TraceStore
-	alog   *obs.AccessLogger
-
-	// runCtx is canceled when drain runs out of patience; every request
-	// context is tied to it, so cancellation reaches the engines'
-	// cooperative checkpoints.
-	runCtx     context.Context
-	cancelRuns context.CancelFunc
-
-	// stateMu serializes the draining flip against in-flight Add, so
-	// Drain's Wait can never race a late registration.
-	stateMu  sync.RWMutex
-	draining bool
-	inflight sync.WaitGroup
+	cfg   Config
+	obs   *obs.Registry
+	data  *registry.Registry
+	brk   *BreakerGroup
+	front *Front
 
 	reqSeq atomic.Int64 // distinguishes per-request checkpoint files
 
@@ -182,18 +165,19 @@ func New(cfg Config) *Server {
 	if loader == nil {
 		loader = datasetLoader(cfg.DataDir, cfg.Scale)
 	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 256
-	}
 	s := &Server{
-		cfg:    cfg,
-		obs:    cfg.Obs,
-		start:  time.Now(),
-		adm:    NewAdmission(cfg.Admission, cfg.Obs),
-		brk:    NewBreakerGroup(cfg.Breaker, cfg.Obs),
-		fps:    map[*mint.Graph]string{},
-		traces: obs.NewTraceStore(cfg.TraceCapacity),
-		alog:   obs.NewAccessLogger(cfg.AccessLog),
+		cfg: cfg,
+		obs: cfg.Obs,
+		brk: NewBreakerGroup(cfg.Breaker, cfg.Obs),
+		fps: map[*mint.Graph]string{},
+		front: NewFront(FrontConfig{
+			Admission:     cfg.Admission,
+			Caps:          cfg.Caps,
+			MaxBodyBytes:  cfg.MaxBodyBytes,
+			Obs:           cfg.Obs,
+			AccessLog:     cfg.AccessLog,
+			TraceCapacity: cfg.TraceCapacity,
+		}),
 	}
 	if cfg.Ingest.Enabled() {
 		loader = s.liveLoader(loader)
@@ -204,8 +188,6 @@ func New(cfg Config) *Server {
 		Obs:      cfg.Obs,
 		Validate: s.validateLive,
 	})
-	s.runCtx, s.cancelRuns = context.WithCancel(context.Background())
-	s.mux = http.NewServeMux()
 	s.routes()
 	if cfg.Ingest.Enabled() {
 		s.liveReady = make(chan struct{})
@@ -229,75 +211,23 @@ func datasetLoader(dir string, scale float64) registry.Loader {
 }
 
 // Handler returns the server's HTTP handler (the API routes plus
-// /healthz, /readyz; mount obs.AttachDebug alongside for /debug/*).
-func (s *Server) Handler() http.Handler { return s.mux }
+// /healthz, /readyz, /metrics and /debug/trace; mount obs.AttachDebug
+// alongside for the rest of /debug/*).
+func (s *Server) Handler() http.Handler { return s.front.Handler() }
 
 // Datasets exposes the dataset registry (readiness reporting, tests).
 func (s *Server) Datasets() *registry.Registry { return s.data }
 
-// Draining reports whether drain has begun.
-func (s *Server) Draining() bool {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	return s.draining
-}
-
-// beginRequest registers one in-flight API request; it fails once drain
-// has begun. The returned func must be deferred.
-func (s *Server) beginRequest() (func(), bool) {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if s.draining {
-		return nil, false
-	}
-	s.inflight.Add(1)
-	return s.inflight.Done, true
-}
-
-// Drain gracefully winds the server down: stop admitting (readyz flips
-// to 503, queued waiters bounce with ErrDraining), let in-flight
-// requests finish until ctx expires, then cancel their run contexts —
-// the engines unwind cooperatively, supervised requests flushing their
-// checkpoints — and wait for the stragglers. Safe to call once; the
-// HTTP listener shutdown and obs flush are the caller's (mintd's) job,
-// in that order after Drain returns.
+// Drain winds the server down through the shared drain lifecycle (see
+// Front.Drain), then seals the ingest stream: in-flight work is done,
+// so stop the follower pull loop — it appends to the same stream — and
+// close the stream, which syncs and releases the WAL so a restart
+// replays a clean tail.
 func (s *Server) Drain(ctx context.Context) error {
-	s.stateMu.Lock()
-	already := s.draining
-	s.draining = true
-	s.stateMu.Unlock()
-	if already {
-		return errors.New("server: Drain called twice")
-	}
-	s.obs.Counter("server.drain_started").Add(1)
-	s.adm.Stop()
-
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	graceful := true
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Patience exhausted: cancel the runs. Cooperative cancellation
-		// reaches every engine within one runctl.CheckInterval, so this
-		// second wait is bounded by microseconds of mining plus response
-		// serialization.
-		graceful = false
-		s.obs.Counter("server.drain_forced").Add(1)
-		s.cancelRuns()
-		<-done
-	}
-	if graceful {
-		s.cancelRuns() // release the AfterFunc watchers
-	}
-	// In-flight work is done; seal the ingest stream. Stop the follower
-	// pull loop first — it appends to the same stream Close is about to
-	// seal. Close syncs and releases the WAL so a restart replays a
-	// clean tail.
-	if s.cfg.Ingest.Enabled() {
+	return s.front.Drain(ctx, func() {
+		if !s.cfg.Ingest.Enabled() {
+			return
+		}
 		<-s.liveReady
 		s.replMu.Lock()
 		stop, fdone := s.followerStop, s.followerDone
@@ -315,30 +245,9 @@ func (s *Server) Drain(ctx context.Context) error {
 				s.obs.Counter("server.ingest.close_failed").Add(1)
 			}
 		}
-	}
-	s.obs.Counter("server.drain_done").Add(1)
-	return nil
+	})
 }
 
 // BuildReport assembles the end-of-life RunReport mintd flushes on
 // exit: uptime, the full metric state, and the serving identity.
-func (s *Server) BuildReport() *obs.RunReport {
-	rep := obs.NewRunReport("mintd", "serve")
-	rep.StartUnixNano = s.start.UnixNano()
-	rep.WallSeconds = time.Since(s.start).Seconds()
-	rep.CPUSeconds = obs.ProcessCPUSeconds()
-	rep.AttachSnapshot(s.obs.Snapshot())
-	return rep
-}
-
-// requestCtx ties an HTTP request context to the server's run lifetime:
-// cancel fires when either the client goes away or drain forces runs
-// down. The cleanup func must be deferred.
-func (s *Server) requestCtx(r *http.Request) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(r.Context())
-	stop := context.AfterFunc(s.runCtx, cancel)
-	return ctx, func() {
-		stop()
-		cancel()
-	}
-}
+func (s *Server) BuildReport() *obs.RunReport { return s.front.BuildReport() }

@@ -1,14 +1,13 @@
 package server
 
-// Per-request distributed tracing and access logging for the serving
-// layer. Every instrumented endpoint resolves a trace identity
-// (incoming traceparent / X-Request-ID, else freshly minted), records a
-// span tree into an obs.ReqTrace carried on the request context, echoes
-// the id on the X-Trace-Id response header (shed and drain responses
-// included), stores the finished trace for GET /debug/trace/<id>, and
-// writes one structured JSON access-log line. The helpers are exported
-// because the scatter-gather coordinator (package gather) runs the same
-// middleware around its fan-out handlers.
+// Per-request distributed tracing and access logging for the front end.
+// Every instrumented route resolves a trace identity (incoming
+// traceparent / X-Request-ID, else freshly minted), records a span tree
+// into an obs.ReqTrace carried on the request context, echoes the id on
+// the X-Trace-Id response header (shed and drain responses included),
+// stores the finished trace for GET /debug/trace/<id>, and writes one
+// structured JSON access-log line. On a coordinator the stored trace
+// also holds the imported shard fragments: one cross-process timeline.
 
 import (
 	"net/http"
@@ -17,21 +16,21 @@ import (
 	"mint/internal/obs"
 )
 
-// StatusWriter captures the response status for the access log and the
+// statusWriter captures the response status for the access log and the
 // root span without changing handler behavior.
-type StatusWriter struct {
+type statusWriter struct {
 	http.ResponseWriter
 	code int
 }
 
-func (w *StatusWriter) WriteHeader(c int) {
+func (w *statusWriter) WriteHeader(c int) {
 	if w.code == 0 {
 		w.code = c
 	}
 	w.ResponseWriter.WriteHeader(c)
 }
 
-func (w *StatusWriter) Write(b []byte) (int, error) {
+func (w *statusWriter) Write(b []byte) (int, error) {
 	if w.code == 0 {
 		w.code = http.StatusOK
 	}
@@ -40,53 +39,55 @@ func (w *StatusWriter) Write(b []byte) (int, error) {
 
 // Status returns the written status code (200 when the handler never
 // set one explicitly).
-func (w *StatusWriter) Status() int {
+func (w *statusWriter) Status() int {
 	if w.code == 0 {
 		return http.StatusOK
 	}
 	return w.code
 }
 
-// BeginTrace resolves the request's trace identity, opens the root
+// beginTrace resolves the request's trace identity, opens the root
 // span, stamps the X-Trace-Id response header, and rebinds the request
 // context to carry the ReqTrace. The header is written before any
 // outcome is decided, so shed and drain responses carry the id too.
-func BeginTrace(w http.ResponseWriter, r *http.Request, root string) (*obs.ReqTrace, *StatusWriter, *http.Request) {
+func beginTrace(w http.ResponseWriter, r *http.Request, root string) (*obs.ReqTrace, *statusWriter, *http.Request) {
 	tc, parent := obs.TraceFromRequest(r)
 	rt := obs.NewReqTrace(tc, root, parent)
 	w.Header().Set("X-Trace-Id", tc.TraceID)
-	sw := &StatusWriter{ResponseWriter: w}
+	sw := &statusWriter{ResponseWriter: w}
 	return rt, sw, r.WithContext(obs.WithReqTrace(r.Context(), rt))
 }
 
-// EchoTraceID stamps the trace identity on responses outside the
+// echoTraceID stamps the trace identity on responses outside the
 // instrumented ladder (health probes), so a client request id is echoed
 // everywhere — drain-time 503s included.
-func EchoTraceID(w http.ResponseWriter, r *http.Request) {
+func echoTraceID(w http.ResponseWriter, r *http.Request) {
 	tc, _ := obs.TraceFromRequest(r)
 	w.Header().Set("X-Trace-Id", tc.TraceID)
 }
 
-// AccessRecordFor assembles the structured access-log line for one
-// finished request from its trace annotations.
-func AccessRecordFor(rt *obs.ReqTrace, route string, status int, start time.Time) obs.AccessRecord {
-	return obs.AccessRecord{
+// finishTrace closes the root span, retains the trace for
+// /debug/trace/<id>, and writes the access-log line.
+func (f *Front) finishTrace(rt *obs.ReqTrace, route string, status int, start time.Time) {
+	rt.Finish()
+	f.traces.Add(rt.TraceID(), rt.Spans())
+	f.alog.Log(obs.AccessRecord{
 		TraceID:   rt.TraceID(),
 		Route:     route,
 		Status:    status,
 		Priority:  rt.Attr("priority"),
-		Outcome:   TraceOutcome(status, rt),
+		Outcome:   traceOutcome(status, rt),
 		Shed:      status == http.StatusTooManyRequests,
 		Degraded:  rt.Attr("degraded") != "",
 		Partial:   rt.Attr("partial") != "",
 		Truncated: rt.Attr("truncated") != "",
 		WallMS:    float64(time.Since(start).Microseconds()) / 1000,
-	}
+	})
 }
 
-// TraceOutcome derives the access-log outcome: an explicit handler
+// traceOutcome derives the access-log outcome: an explicit handler
 // annotation wins, otherwise the status class decides.
-func TraceOutcome(status int, rt *obs.ReqTrace) string {
+func traceOutcome(status int, rt *obs.ReqTrace) string {
 	if o := rt.Attr("outcome"); o != "" {
 		return o
 	}
@@ -102,30 +103,14 @@ func TraceOutcome(status int, rt *obs.ReqTrace) string {
 	}
 }
 
-// finishTrace closes the root span, retains the trace for
-// /debug/trace/<id>, and writes the access-log line.
-func (s *Server) finishTrace(rt *obs.ReqTrace, route string, status int, start time.Time) {
-	rt.Finish()
-	s.traces.Add(rt.TraceID(), rt.Spans())
-	s.alog.Log(AccessRecordFor(rt, route, status, start))
-}
-
 // handleTraceDump serves one stored trace as a Chrome trace_event JSON
-// document (load it in chrome://tracing or ui.perfetto.dev). On a
-// coordinator the stored trace already contains the imported shard
-// fragments, so the dump is the merged cross-process timeline.
-func (s *Server) handleTraceDump(w http.ResponseWriter, r *http.Request) {
-	ServeTraceDump(w, r, s.traces)
-}
-
-// ServeTraceDump writes the stored trace named by the {id} path value
-// as Chrome trace JSON (shared by worker and coordinator).
-func ServeTraceDump(w http.ResponseWriter, r *http.Request, ts *obs.TraceStore) {
+// document (load it in chrome://tracing or ui.perfetto.dev).
+func (f *Front) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if len(ts.Get(id)) == 0 {
-		writeError(w, http.StatusNotFound, "unknown trace id", 0)
+	if len(f.traces.Get(id)) == 0 {
+		WriteError(w, http.StatusNotFound, "unknown trace id", 0)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	ts.WriteChromeTrace(w, id) //nolint:errcheck // client gone = nothing to do
+	f.traces.WriteChromeTrace(w, id) //nolint:errcheck // client gone = nothing to do
 }
