@@ -50,18 +50,19 @@ bench:
 
 # Observability overhead report: M1–M4 sequential miner with the metrics
 # registry off and on; writes BENCH_obs.json and runs the <3% guard. Also
-# replays the hot-path A/B measurement against the committed
-# BENCH_hotpath.json and fails on a >10% speedup regression (ratios, not
-# absolute ns/op, so the guard holds across machines).
+# replays the hot-path measurement (executor vs Algorithm 1) against the
+# committed BENCH_hotpath.json and fails on a >10% speedup regression
+# (ratios, not absolute ns/op, so the guard holds across machines).
 bench-report:
 	$(GO) run ./cmd/benchreport -out BENCH_obs.json
 	$(GO) test ./internal/mackey/ -run=TestObsOverheadGuard -bench=BenchmarkSeqMinerObs -benchtime=1x -v
 	$(GO) run ./cmd/benchreport -hotpath -check
 
-# Hot-path before/after comparison: Baseline (pre-overhaul) vs optimized
-# (pooled state + window-cached searches) on M1–M4 over a seeded Table I
-# dataset sample; rewrites BENCH_hotpath.json with ns/op and allocs/op for
-# both sides plus the co-mining row (one co-mined M1–M4 pass vs four
+# Hot-path comparison: the mining executor (mackey.Mine: the pooled,
+# window-cached trie worker) vs MineAlgorithm1, the paper's Algorithm 1
+# kept as the fixed reference, on M1–M4 over a seeded Table I dataset
+# sample; rewrites BENCH_hotpath.json with ns/op and allocs/op for both
+# sides plus the co-mining row (one co-mined M1–M4 pass vs four
 # sequential per-motif runs). Run this to refresh the committed
 # reference after deliberate hot-path changes.
 bench-compare:

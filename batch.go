@@ -33,12 +33,12 @@ type BatchOptions struct {
 	Workers int
 	// Obs, when non-nil, receives the co-mining counters (comine.groups,
 	// comine.fork_points, the shared-prefix hit-ratio gauge) plus the
-	// folded engine stats.
+	// executor's folded mackey.* stats.
 	Obs *ObsRegistry
 	// Chaos, when non-nil, installs a fault-injection plan on the run's
-	// controller; the co-mining executor rolls at site "comine.chunk"
-	// (singleton groups devolve to the mackey sites). An injected fault
-	// truncates the run loudly with StopFaultInjected.
+	// controller; every group rolls at the mining executor's chunk site
+	// "mackey.chunk". An injected fault truncates the run loudly with
+	// StopFaultInjected.
 	Chaos *ChaosPlan
 	// Roots restricts the batch to instances rooted in this timestamp
 	// window (nil = whole graph); batches over disjoint adjacent windows

@@ -11,14 +11,16 @@
 // under -bench for both configurations, and the committed BENCH_obs.json
 // is the reference the guard's budget was set against.
 //
-// Hot-path mode (-hotpath): A/B-benchmarks the pre-overhaul Baseline path
-// against the optimized path (pooled worker state, window-cached searches)
-// for M1–M4 on a seeded sample graph from the Table I dataset generator,
-// and writes BENCH_hotpath.json with ns/op, B/op, and allocs/op for both
-// sides plus per-motif speedups. With -check it instead compares a fresh
-// measurement against the committed BENCH_hotpath.json and exits non-zero
-// when any motif's speedup regressed by more than 10% — speedup ratios,
-// not absolute ns/op, so the guard is machine-independent.
+// Hot-path mode (-hotpath): benchmarks the production executor
+// (mackey.Mine: the pooled, window-cached trie worker every count, batch
+// and stream fold runs on) against MineAlgorithm1, the paper's Algorithm 1
+// kept as the fixed reference, for M1–M4 on a seeded sample graph from
+// the Table I dataset generator, and writes BENCH_hotpath.json with
+// ns/op, B/op, and allocs/op for both sides plus per-motif speedups. With
+// -check it instead compares a fresh measurement against the committed
+// BENCH_hotpath.json and exits non-zero when any motif's speedup
+// regressed by more than 10% — speedup ratios, not absolute ns/op, so the
+// guard is machine-independent.
 //
 // Usage:
 //
@@ -62,31 +64,35 @@ type benchRow struct {
 
 // benchReport is the BENCH_obs.json payload.
 type benchReport struct {
-	Schema        string     `json:"schema"`
-	GeneratedUnix int64      `json:"generated_unix"`
-	GraphNodes    int        `json:"graph_nodes"`
-	GraphEdges    int        `json:"graph_edges"`
+	Schema            string     `json:"schema"`
+	GeneratedUnix     int64      `json:"generated_unix"`
+	GraphNodes        int        `json:"graph_nodes"`
+	GraphEdges        int        `json:"graph_edges"`
 	Rows              []benchRow `json:"benchmarks"`
 	GeomeanRatio      float64    `json:"geomean_overhead_ratio"`
 	GeomeanTraceRatio float64    `json:"geomean_trace_overhead_ratio"`
 }
 
-// hotpathRow is one motif's Baseline-vs-optimized measurement.
+// hotpathSchema names the BENCH_hotpath.json layout; -check refuses a
+// committed report of any other layout, whose ratios measure something else.
+const hotpathSchema = "mint.bench_hotpath/v2"
+
+// hotpathRow is one motif's executor-vs-Algorithm-1 measurement.
 type hotpathRow struct {
 	Motif             string  `json:"motif"`
 	Matches           int64   `json:"matches"`
-	BaselineNsOp      int64   `json:"baseline_ns_per_op"`
-	OptimizedNsOp     int64   `json:"optimized_ns_per_op"`
+	ReferenceNsOp     int64   `json:"reference_ns_per_op"`
+	ExecutorNsOp      int64   `json:"executor_ns_per_op"`
 	Speedup           float64 `json:"speedup"`
-	BaselineAllocsOp  int64   `json:"baseline_allocs_per_op"`
-	OptimizedAllocsOp int64   `json:"optimized_allocs_per_op"`
-	BaselineBytesOp   int64   `json:"baseline_bytes_per_op"`
-	OptimizedBytesOp  int64   `json:"optimized_bytes_per_op"`
+	ReferenceAllocsOp int64   `json:"reference_allocs_per_op"`
+	ExecutorAllocsOp  int64   `json:"executor_allocs_per_op"`
+	ReferenceBytesOp  int64   `json:"reference_bytes_per_op"`
+	ExecutorBytesOp   int64   `json:"executor_bytes_per_op"`
 }
 
 // comineRow is the co-mining measurement: ONE co-mined pass over the
 // 4-motif profile workload against four sequential per-motif runs of
-// the same optimized miner, both single-threaded so the ratio isolates
+// the same executor, both single-threaded so the ratio isolates
 // shared-prefix reuse rather than parallelism.
 type comineRow struct {
 	Motifs         []string `json:"motifs"`
@@ -115,7 +121,7 @@ func main() {
 	out := flag.String("out", "", "output JSON path (default per mode)")
 	edges := flag.Int("edges", 6000, "synthetic graph edge count (obs mode)")
 	seed := flag.Int64("seed", 99, "graph generation seed (obs mode)")
-	hotpath := flag.Bool("hotpath", false, "measure Baseline vs optimized hot path instead of obs overhead")
+	hotpath := flag.Bool("hotpath", false, "measure the mining executor against Algorithm 1 instead of obs overhead")
 	check := flag.Bool("check", false, "with -hotpath: compare a fresh measurement against the committed report and fail on >10% speedup regression")
 	dataset := flag.String("dataset", "email-eu", "Table I dataset to sample (hotpath mode)")
 	scale := flag.Float64("scale", 0.06, "dataset edge-count scale (hotpath mode)")
@@ -195,7 +201,7 @@ func runObsReport(out string, edges int, seed int64) error {
 	return writeJSON(out, rep)
 }
 
-// measureHotpath runs the Baseline/optimized A/B benchmark for M1–M4 on a
+// measureHotpath runs the executor/Algorithm 1 benchmark for M1–M4 on a
 // seeded sample of the named Table I dataset (nodes kept at full count so
 // the sample has realistic degree structure rather than the near-clique a
 // uniform shrink produces).
@@ -209,7 +215,7 @@ func measureHotpath(dataset string, scale float64) (hotpathReport, error) {
 		return hotpathReport{}, err
 	}
 	rep := hotpathReport{
-		Schema:        "mint.bench_hotpath/v1",
+		Schema:        hotpathSchema,
 		GeneratedUnix: time.Now().Unix(),
 		Dataset:       spec.Name,
 		Scale:         scale,
@@ -219,13 +225,13 @@ func measureHotpath(dataset string, scale float64) (hotpathReport, error) {
 	logSpeedup := 0.0
 	for _, m := range temporal.EvaluationMotifs(temporal.DeltaHour) {
 		var res mackey.Result
-		base := testing.Benchmark(func(b *testing.B) {
+		ref := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res = mackey.Mine(g, m, mackey.Options{Baseline: true})
+				res = mackey.MineAlgorithm1(g, m, mackey.Options{})
 			}
 		})
-		opt := testing.Benchmark(func(b *testing.B) {
+		exe := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res = mackey.Mine(g, m, mackey.Options{})
@@ -234,19 +240,19 @@ func measureHotpath(dataset string, scale float64) (hotpathReport, error) {
 		row := hotpathRow{
 			Motif:             m.Name,
 			Matches:           res.Matches,
-			BaselineNsOp:      base.NsPerOp(),
-			OptimizedNsOp:     opt.NsPerOp(),
-			Speedup:           float64(base.NsPerOp()) / float64(opt.NsPerOp()),
-			BaselineAllocsOp:  base.AllocsPerOp(),
-			OptimizedAllocsOp: opt.AllocsPerOp(),
-			BaselineBytesOp:   base.AllocedBytesPerOp(),
-			OptimizedBytesOp:  opt.AllocedBytesPerOp(),
+			ReferenceNsOp:     ref.NsPerOp(),
+			ExecutorNsOp:      exe.NsPerOp(),
+			Speedup:           float64(ref.NsPerOp()) / float64(exe.NsPerOp()),
+			ReferenceAllocsOp: ref.AllocsPerOp(),
+			ExecutorAllocsOp:  exe.AllocsPerOp(),
+			ReferenceBytesOp:  ref.AllocedBytesPerOp(),
+			ExecutorBytesOp:   exe.AllocedBytesPerOp(),
 		}
 		logSpeedup += math.Log(row.Speedup)
 		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("%-4s base %10d ns/op %5d allocs/op   opt %10d ns/op %5d allocs/op   speedup %.2fx   matches %d\n",
-			row.Motif, row.BaselineNsOp, row.BaselineAllocsOp,
-			row.OptimizedNsOp, row.OptimizedAllocsOp, row.Speedup, row.Matches)
+		fmt.Printf("%-4s algorithm1 %10d ns/op %5d allocs/op   executor %10d ns/op %5d allocs/op   speedup %.2fx   matches %d\n",
+			row.Motif, row.ReferenceNsOp, row.ReferenceAllocsOp,
+			row.ExecutorNsOp, row.ExecutorAllocsOp, row.Speedup, row.Matches)
 	}
 	rep.GeomeanSpeedup = math.Exp(logSpeedup / float64(len(rep.Rows)))
 	fmt.Printf("geomean speedup: %.2fx\n", rep.GeomeanSpeedup)
@@ -259,7 +265,7 @@ func measureHotpath(dataset string, scale float64) (hotpathReport, error) {
 }
 
 // measureComine A/B-benchmarks the profile workload: four sequential
-// per-motif runs of the optimized miner vs one co-mined pass over the
+// per-motif runs of the executor vs one co-mined pass over the
 // same set. The M1–M4 family shares its canonical (0→1) and (0→1,1→2)
 // prefixes, so the co-mined side skips the repeated prefix expansions a
 // per-motif sweep pays four times.
@@ -315,7 +321,7 @@ func runHotpath(out, dataset string, scale float64, check bool) error {
 	// Regression guard: re-measure with the committed report's own dataset
 	// parameters and compare speedup ratios. Ratios cancel the machine's
 	// absolute speed, so a slower CI box does not trip the guard — only a
-	// change that erodes the optimized path's advantage over Baseline does.
+	// change that erodes the executor's advantage over Algorithm 1 does.
 	data, err := os.ReadFile(out)
 	if err != nil {
 		return fmt.Errorf("benchreport: reading committed report: %w (generate one with -hotpath first)", err)
@@ -323,6 +329,9 @@ func runHotpath(out, dataset string, scale float64, check bool) error {
 	var committed hotpathReport
 	if err := json.Unmarshal(data, &committed); err != nil {
 		return fmt.Errorf("benchreport: parsing %s: %w", out, err)
+	}
+	if committed.Schema != hotpathSchema {
+		return fmt.Errorf("benchreport: %s has schema %q, want %q (regenerate with -hotpath)", out, committed.Schema, hotpathSchema)
 	}
 	if committed.Dataset != "" {
 		dataset = committed.Dataset
@@ -350,10 +359,10 @@ func runHotpath(out, dataset string, scale float64, check bool) error {
 				fmt.Printf("ok %s: speedup %.2fx (committed %.2fx, floor %.2fx)\n",
 					fr.Motif, fr.Speedup, cr.Speedup, floor)
 			}
-			if fr.OptimizedAllocsOp > cr.OptimizedAllocsOp {
+			if fr.ExecutorAllocsOp > cr.ExecutorAllocsOp {
 				failed = true
-				fmt.Fprintf(os.Stderr, "REGRESSION %s: %d allocs/op on the optimized path (committed %d)\n",
-					fr.Motif, fr.OptimizedAllocsOp, cr.OptimizedAllocsOp)
+				fmt.Fprintf(os.Stderr, "REGRESSION %s: %d allocs/op in the executor (committed %d)\n",
+					fr.Motif, fr.ExecutorAllocsOp, cr.ExecutorAllocsOp)
 			}
 		}
 	}

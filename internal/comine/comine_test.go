@@ -85,8 +85,8 @@ func TestPlanPartitionsInput(t *testing.T) {
 func assertPartition(t *testing.T, plan *Plan, n int) {
 	t.Helper()
 	seen := make([]int, n)
-	var walk func(nd *Node)
-	walk = func(nd *Node) {
+	var walk func(nd *mackey.Node)
+	walk = func(nd *mackey.Node) {
 		for _, idx := range nd.Terminal {
 			if idx < 0 || idx >= n {
 				t.Fatalf("terminal index %d out of range [0,%d)", idx, n)

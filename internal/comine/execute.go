@@ -2,24 +2,18 @@ package comine
 
 import (
 	"context"
-	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"mint/internal/faultinject"
 	"mint/internal/mackey"
 	"mint/internal/obs"
 	"mint/internal/runctl"
 	"mint/internal/temporal"
 )
 
-// Options configures a co-mining run. The executor reuses the mackey
-// machinery wholesale: the same chunk-stealing scheduler over
-// timestamp-aligned root partitions, the same pooled per-worker state,
-// the same window-cached candidate scans, and the same cooperative
-// runctl budget/cancellation contract.
+// Options configures a co-mining run. Each group is mined by
+// mackey.MineTrieCtx — the single-motif miners' own worker, chunk
+// scheduler, window-cached candidate scans, chaos site (mackey.chunk)
+// and cooperative runctl budget/cancellation contract.
 type Options struct {
 	// Workers sets the parallelism (< 1 means runtime.NumCPU()).
 	Workers int
@@ -30,7 +24,7 @@ type Options struct {
 	Ctl *runctl.Controller
 	// Obs, when non-nil, receives the run's counters (comine.groups,
 	// comine.fork_points, comine.shared_expansions, the shared-prefix
-	// hit-ratio gauge, plus the folded mining stats).
+	// hit-ratio gauge) plus each group's mackey.* worker folds.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives one coarse span per group.
 	Trace *obs.Tracer
@@ -79,11 +73,10 @@ type Result struct {
 
 // MineCtx co-mines every motif of plan against g in one traversal per
 // group, under one shared controller. Groups run sequentially (they
-// share the budget; each group parallelizes internally); a singleton
-// group devolves to the proven single-motif parallel miner with the
-// same shared controller. After a stop, the remaining groups return
-// immediately with every member loudly marked Truncated. A worker
-// panic converts to a *runctl.PanicError alongside the partial result.
+// share the budget; each group parallelizes internally). After a stop,
+// the remaining groups return immediately with every member loudly
+// marked Truncated. A worker panic converts to a *runctl.PanicError
+// alongside the partial result.
 func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b runctl.Budget) (Result, error) {
 	if opts.Ctl == nil {
 		opts.Ctl = runctl.New(ctx, b)
@@ -107,34 +100,19 @@ func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b
 		if opts.Trace != nil {
 			start = time.Now()
 		}
-		if len(grp.Members) == 1 {
-			// Singleton group: nothing to share — devolve to the existing
-			// single-motif path (same controller, so the budget stays
-			// shared and chaos sites stay the mackey ones).
-			mem := grp.Members[0]
-			r, err := mackey.MineParallelCtx(ctx, g, mem.Motif, mackey.Options{
-				Workers: opts.Workers, Ctl: ctl, Obs: opts.Obs, Roots: opts.Roots,
-			}, b)
-			res.PerMotif[mem.Index].Matches = r.Matches
-			res.PerMotif[mem.Index].Truncated = r.Truncated
-			res.PerMotif[mem.Index].StopReason = r.StopReason
-			res.Stats.Add(r.Stats)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			counts, stats, shared, err := mineGroup(g, grp, len(plan.Motifs), opts, ctl)
-			for _, mem := range grp.Members {
-				res.PerMotif[mem.Index].Matches = counts[mem.Index]
-			}
-			if ctl.Stopped() {
-				markTruncated(res.PerMotif, grp, ctl.Reason())
-			}
-			res.Stats.Add(stats)
-			res.SharedExpansions += shared
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
+		r, err := mackey.MineTrieCtx(ctx, g, &grp.Trie, mackey.Options{
+			Workers: opts.Workers, Ctl: ctl, Obs: opts.Obs, Roots: opts.Roots,
+		}, b)
+		for _, mem := range grp.Members {
+			res.PerMotif[mem.Index].Matches = r.Counts[mem.Index]
+		}
+		if r.Truncated {
+			markTruncated(res.PerMotif, grp, r.StopReason)
+		}
+		res.Stats.Add(r.Stats)
+		res.SharedExpansions += r.Shared
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 		if opts.Trace != nil {
 			opts.Trace.EmitTagged("comine.group", ctl.TraceID(), int32(gi), start, time.Since(start))
@@ -155,385 +133,6 @@ func markTruncated(perMotif []MotifResult, grp *Group, reason runctl.Reason) {
 		perMotif[mem.Index].Truncated = true
 		perMotif[mem.Index].StopReason = reason
 	}
-}
-
-// rootSpan clamps the optional root restriction to g's edge space.
-func rootSpan(g *temporal.Graph, roots *mackey.RootRange) (int, int) {
-	n := g.NumEdges()
-	if roots == nil {
-		return 0, n
-	}
-	lo, hi := int(roots.Lo), int(roots.Hi)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-// mineGroup runs one co-mined group with chunk-stealing workers over
-// the mackey time-partitioned root chunks. It mirrors
-// mackey.MineParallelCtx: per-worker pooled state, cooperative
-// cancellation, panic-to-error conversion, and the chaos site
-// "comine.chunk" (keyed by chunk index) for fault-injection tests.
-func mineGroup(g *temporal.Graph, grp *Group, numMotifs int, opts Options, ctl *runctl.Controller) ([]int64, mackey.Stats, int64, error) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	lo, hi := rootSpan(g, opts.Roots)
-	if n := hi - lo; workers > n {
-		workers = max(1, n)
-	}
-	bounds := mackey.PartitionRoots(g, workers, temporal.EdgeID(lo), temporal.EdgeID(hi))
-	numChunks := int64(len(bounds) - 1)
-
-	plan := ctl.FaultPlan()
-	var cursor atomic.Int64
-	perWorker := make([]*coworker, workers)
-	panicked := make([]bool, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			w := acquireCoworker(g, grp, numMotifs, ctl)
-			perWorker[wi] = w
-			cur := int64(temporal.InvalidEdge)
-			defer func() {
-				if r := recover(); r != nil {
-					if inj, ok := r.(*faultinject.Injected); ok {
-						errs[wi] = inj
-						ctl.Stop(runctl.FaultInjected)
-					} else {
-						errs[wi] = &runctl.PanicError{Worker: wi, Root: cur, Value: r}
-						ctl.Stop(runctl.Failed)
-					}
-					panicked[wi] = true
-				}
-			}()
-		pull:
-			for {
-				k := cursor.Add(1) - 1
-				if k >= numChunks {
-					break
-				}
-				if plan != nil {
-					// Chaos site "comine.chunk": Error/Drop stop the run as
-					// FaultInjected; a Panic unwinds into the recover above.
-					if err := plan.Fire("comine.chunk", k, 0); err != nil {
-						errs[wi] = err
-						ctl.Stop(runctl.FaultInjected)
-						break pull
-					}
-				}
-				for root := bounds[k]; root < bounds[k+1]; root++ {
-					if w.stopped {
-						break pull
-					}
-					cur = int64(root)
-					w.mineRoot(root)
-				}
-			}
-			w.checkpoint() // flush the tail of this worker's progress
-			w.stats.SearchCacheHits = w.wc.Hits()
-			w.stats.SearchCacheMisses = w.wc.Misses()
-		}(wi)
-	}
-	wg.Wait()
-
-	counts := make([]int64, numMotifs)
-	var total mackey.Stats
-	var shared int64
-	for wi, w := range perWorker {
-		if w == nil {
-			continue
-		}
-		for i, c := range w.counts {
-			counts[i] += c
-		}
-		total.Add(w.stats)
-		shared += w.shared
-		if !panicked[wi] {
-			// A panicked worker's bindings are mid-tree; abandon its state
-			// to the GC rather than pooling corruption.
-			w.release()
-		}
-	}
-	var err error
-	for _, e := range errs {
-		if e != nil {
-			err = e
-			break
-		}
-	}
-	return counts, total, shared, err
-}
-
-// coworker is the per-goroutine co-mining state: one node mapping pair
-// (sized for the group's widest member), the window cache, and one
-// count cell per input motif. Structure and invariants mirror
-// mackey.worker; only the recursion walks a trie instead of a single
-// edge list.
-type coworker struct {
-	g   *temporal.Graph
-	grp *Group
-	ctl *runctl.Controller
-
-	m2g []temporal.NodeID // canonical motif node -> graph node
-	g2m []temporal.NodeID // graph node -> canonical motif node
-	wc  temporal.WindowCache
-
-	counts []int64 // per input-motif matches, indexed like Plan.Motifs
-	stats  mackey.Stats
-	shared int64 // expansions at trie nodes with Passing > 1
-
-	sinceCheck     int32
-	stopped        bool
-	flushedMatches int64
-}
-
-// checkpoint flushes progress into the shared controller and latches
-// any stop request — the same amortized contract as mackey.worker.
-func (w *coworker) checkpoint() {
-	nodes := int64(w.sinceCheck)
-	w.sinceCheck = 0
-	w.stats.NodesExpanded += nodes
-	if w.ctl == nil {
-		return
-	}
-	dm := w.stats.Matches - w.flushedMatches
-	w.flushedMatches = w.stats.Matches
-	if w.ctl.Checkpoint(nodes, dm) {
-		w.stopped = true
-	}
-}
-
-func (w *coworker) bind(mu, gu temporal.NodeID) {
-	w.m2g[mu] = gu
-	w.g2m[gu] = mu
-}
-
-func (w *coworker) unbind(mu, gu temporal.NodeID) {
-	w.m2g[mu] = temporal.InvalidNode
-	w.g2m[gu] = temporal.InvalidNode
-}
-
-// mineRoot expands the co-mined search tree rooted at graph edge root:
-// the root edge is bound as every member's canonical first edge (0→1)
-// and the trie is walked from there with deadline root.Time + δ.
-func (w *coworker) mineRoot(root temporal.EdgeID) {
-	e := w.g.Edges[root]
-	if e.Src == e.Dst {
-		return // motif edges are loop-free; a self-loop can never map
-	}
-	w.stats.RootTasks++
-	deadline := e.Time + w.grp.Delta
-	for _, c := range w.grp.Root.Children {
-		w.bind(c.Edge.Src, e.Src)
-		w.bind(c.Edge.Dst, e.Dst)
-		w.stats.BookkeepTasks++
-		w.visit(c, root, deadline)
-		w.unbind(c.Edge.Dst, e.Dst)
-		w.unbind(c.Edge.Src, e.Src)
-		w.stats.BacktrackTasks++
-		if w.stopped {
-			return
-		}
-	}
-}
-
-// visit runs the per-node bookkeeping once trie node n's edge has been
-// bound: members terminal here gained one match each (the fork point
-// where bookkeeping diverges per motif), then every child edge is
-// expanded against the graph. Equivalent to mackey's extend() entry
-// for each member whose sequence passes through n — the partial node
-// mapping, the last-edge filter, and the δ deadline are identical, so
-// per-member counts match the single-motif miner by construction.
-func (w *coworker) visit(n *Node, last temporal.EdgeID, deadline temporal.Timestamp) {
-	if w.stopped {
-		return
-	}
-	w.sinceCheck++
-	if w.sinceCheck >= runctl.CheckInterval {
-		w.checkpoint()
-		if w.stopped {
-			return
-		}
-	}
-	if n.Passing > 1 {
-		w.shared++
-	}
-	if len(n.Terminal) > 0 {
-		for _, idx := range n.Terminal {
-			w.counts[idx]++
-			w.stats.Matches++
-		}
-		if w.ctl.MatchBudgeted() {
-			// Eager poll under a match budget, mirroring mackey.
-			w.checkpoint()
-			if w.stopped {
-				return
-			}
-		}
-	}
-	for _, c := range n.Children {
-		w.expand(c, last, deadline)
-		if w.stopped {
-			return
-		}
-	}
-}
-
-// expand matches trie node n's canonical edge against graph edges
-// later than last and no later than deadline — the same three
-// specialized candidate loops as mackey's extendFast (both endpoints
-// mapped: scan the smaller neighborhood; one mapped: scan its list and
-// bind the free endpoint; neither mapped: scan the whole edge tail),
-// with the phase-1 filter origin from the worker's window cache.
-func (w *coworker) expand(n *Node, last temporal.EdgeID, deadline temporal.Timestamp) {
-	w.stats.SearchTasks++
-	me := n.Edge
-	uG := w.m2g[me.Src]
-	vG := w.m2g[me.Dst]
-	g := w.g
-	switch {
-	case uG != temporal.InvalidNode && vG != temporal.InvalidNode:
-		outList := g.OutEdges(uG)
-		inList := g.InEdges(vG)
-		if len(outList) <= len(inList) {
-			list := outList
-			start := w.scanStart(list, true, uG, last)
-			i := start
-			for ; i < len(list); i++ {
-				id := list[i]
-				e := g.Edges[id]
-				if e.Time > deadline {
-					w.stats.TimePrunedScans++
-					break
-				}
-				if e.Dst != vG {
-					continue
-				}
-				w.accept(n, id, deadline)
-			}
-			w.chargeScan(i - start)
-		} else {
-			list := inList
-			start := w.scanStart(list, false, vG, last)
-			i := start
-			for ; i < len(list); i++ {
-				id := list[i]
-				e := g.Edges[id]
-				if e.Time > deadline {
-					w.stats.TimePrunedScans++
-					break
-				}
-				if e.Src != uG {
-					continue
-				}
-				w.accept(n, id, deadline)
-			}
-			w.chargeScan(i - start)
-		}
-
-	case uG != temporal.InvalidNode:
-		list := g.OutEdges(uG)
-		start := w.scanStart(list, true, uG, last)
-		i := start
-		for ; i < len(list); i++ {
-			id := list[i]
-			e := g.Edges[id]
-			if e.Time > deadline {
-				w.stats.TimePrunedScans++
-				break
-			}
-			if w.g2m[e.Dst] != temporal.InvalidNode {
-				continue
-			}
-			w.bind(me.Dst, e.Dst)
-			w.accept(n, id, deadline)
-			w.unbind(me.Dst, e.Dst)
-		}
-		w.chargeScan(i - start)
-
-	case vG != temporal.InvalidNode:
-		list := g.InEdges(vG)
-		start := w.scanStart(list, false, vG, last)
-		i := start
-		for ; i < len(list); i++ {
-			id := list[i]
-			e := g.Edges[id]
-			if e.Time > deadline {
-				w.stats.TimePrunedScans++
-				break
-			}
-			if w.g2m[e.Src] != temporal.InvalidNode {
-				continue
-			}
-			w.bind(me.Src, e.Src)
-			w.accept(n, id, deadline)
-			w.unbind(me.Src, e.Src)
-		}
-		w.chargeScan(i - start)
-
-	default:
-		// Neither endpoint mapped (a disconnected canonical prefix): the
-		// search space is the whole remaining edge list, as in Algorithm 1
-		// line 37.
-		for id := int(last) + 1; id < g.NumEdges(); id++ {
-			e := g.Edges[id]
-			if e.Time > deadline {
-				w.stats.TimePrunedScans++
-				break
-			}
-			w.stats.CandidateEdges++
-			w.stats.Branches++
-			if e.Src == e.Dst ||
-				w.g2m[e.Src] != temporal.InvalidNode ||
-				w.g2m[e.Dst] != temporal.InvalidNode {
-				continue
-			}
-			w.bind(me.Src, e.Src)
-			w.bind(me.Dst, e.Dst)
-			w.accept(n, temporal.EdgeID(id), deadline)
-			w.unbind(me.Dst, e.Dst)
-			w.unbind(me.Src, e.Src)
-		}
-	}
-	w.stats.BacktrackTasks++
-}
-
-// accept records a successful edge mapping and recurses into the trie.
-func (w *coworker) accept(n *Node, id temporal.EdgeID, deadline temporal.Timestamp) {
-	w.stats.BookkeepTasks++
-	w.visit(n, id, deadline)
-}
-
-// chargeScan batches the candidate-examination accounting after a
-// scan, like mackey's fast loops.
-func (w *coworker) chargeScan(n int) {
-	w.stats.CandidateEdges += int64(n)
-	w.stats.Branches += int64(n)
-}
-
-// scanStart computes the phase-1 filter origin via the window cache
-// with the same Stats accounting as the single-motif miner.
-func (w *coworker) scanStart(list []temporal.EdgeID, out bool, node temporal.NodeID, last temporal.EdgeID) int {
-	start := w.wc.SearchAfter(list, out, node, last)
-	w.stats.BinarySearches++
-	if n := len(list); n > 0 {
-		w.stats.Branches += int64(bits.Len(uint(n)))
-	}
-	w.stats.NeighborEntries += int64(len(list))
-	w.stats.NeighborEntriesUseful += int64(len(list) - start)
-	return start
 }
 
 // publish folds the run's counters into the registry: the plan shape,

@@ -17,9 +17,9 @@ import (
 // duplicates, singletons, prefixes of each other, disjoint shapes,
 // mixed δ. Whatever the input, PlanSet must never panic, and any plan
 // it accepts must partition the input indexes exactly (every motif
-// terminal at exactly one trie node). For small plans the executor is
-// cross-checked against per-motif oracle runs on a fixed tiny graph,
-// which also exercises the singleton-group devolution path.
+// terminal at exactly one trie node). For small plans the co-mined
+// walk is cross-checked against per-motif oracle runs on a fixed tiny
+// graph, singleton groups included.
 func FuzzMotifSetPlan(f *testing.F) {
 	f.Add("0->1,1->2,2->0|0->1,1->2,0->2", uint8(0))
 	f.Add("0->1|0->1|0->1,1->2", uint8(1)) // dups + prefix
@@ -55,8 +55,8 @@ func FuzzMotifSetPlan(f *testing.F) {
 
 		// Partition invariant: each input index terminal exactly once.
 		seen := make([]int, len(motifs))
-		var walk func(nd *Node, depth int)
-		walk = func(nd *Node, depth int) {
+		var walk func(nd *mackey.Node, depth int)
+		walk = func(nd *mackey.Node, depth int) {
 			if nd.Depth != depth {
 				t.Fatalf("trie node depth %d at actual depth %d", nd.Depth, depth)
 			}

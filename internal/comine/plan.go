@@ -4,16 +4,16 @@
 // (nodes relabeled in first-appearance order — counts are invariant
 // under motif-node relabeling, so canonical and original motifs have
 // identical instance sets), then grouped by δ and inserted into a
-// prefix-sharing trie over their canonical edge sequences. Because a
-// canonical first edge is always 0→1, every motif in a δ-group shares
-// at least the root level of the trie; the executor walks the trie
-// once per root edge, forking per-motif bookkeeping only where the
-// canonical sequences diverge. A search-tree prefix shared by k motifs
-// is expanded once instead of k times — the redundant-work recovery
-// Mayura reports for the Paranjape M1–M4 family.
+// prefix-sharing trie (mackey.Trie) over their canonical edge
+// sequences. Because a canonical first edge is always 0→1, every motif
+// in a δ-group shares at least the root level of the trie; the mackey
+// worker walks the trie once per root edge, forking per-motif
+// bookkeeping only where the canonical sequences diverge. A search-tree
+// prefix shared by k motifs is expanded once instead of k times — the
+// redundant-work recovery Mayura reports for the Paranjape M1–M4 family.
 //
 // The planner is pure data: PlanSet never mines. Correctness of the
-// executor rests on a structural invariant established here — the
+// co-mined walk rests on a structural invariant established here — the
 // trie's terminal sets partition the input motif indexes exactly
 // (every input index appears at exactly one trie node, duplicates
 // included), which is what FuzzMotifSetPlan fuzzes.
@@ -22,6 +22,7 @@ package comine
 import (
 	"fmt"
 
+	"mint/internal/mackey"
 	"mint/internal/temporal"
 )
 
@@ -41,42 +42,14 @@ type Member struct {
 	NumNodes int
 }
 
-// Node is one trie node: the canonical motif edge matched at this
-// depth, the continuations, and the input indexes of motifs whose
-// canonical sequence ends exactly here. The group root is a virtual
-// depth-0 node whose Edge is unused.
-type Node struct {
-	// Edge is the canonical motif edge this node matches (depth ≥ 1).
-	Edge temporal.MotifEdge
-	// Depth is the number of motif edges matched once this node's edge
-	// is bound (the virtual root has depth 0).
-	Depth int
-	// Children are the distinct next canonical edges.
-	Children []*Node
-	// Terminal lists input motif indexes completing at this node.
-	// Non-leaf terminals are legal (one motif a prefix of another).
-	Terminal []int
-	// Passing counts members whose sequence passes through or ends at
-	// this node — the shared-work multiplicity: an expansion of a node
-	// with Passing = k replaces k independent per-motif expansions.
-	Passing int
-}
-
 // Group is one δ-homogeneous co-mining unit: members share Delta and
-// are mined by a single traversal of the trie under Root.
+// are mined by a single traversal of the embedded trie. The trie root's
+// children all carry the canonical edge 0→1 (there is exactly one child
+// by construction).
 type Group struct {
-	// Delta is the shared time window of every member.
-	Delta temporal.Timestamp
+	mackey.Trie
 	// Members lists the group's motifs in input order.
 	Members []Member
-	// Root is the virtual depth-0 trie node. Its children all carry the
-	// canonical edge 0→1 (there is exactly one child by construction —
-	// kept as a slice so the executor needs no special-casing).
-	Root *Node
-	// MaxMotifNodes / MaxMotifEdges bound the worker state the executor
-	// must size for this group.
-	MaxMotifNodes int
-	MaxMotifEdges int
 	// ForkPoints counts trie nodes with more than one child — the
 	// divergence points where per-motif bookkeeping forks.
 	ForkPoints int
@@ -111,7 +84,7 @@ func PlanSet(motifs []*temporal.Motif) (*Plan, error) {
 		canon, numNodes := canonicalize(m)
 		grp := byDelta[m.Delta]
 		if grp == nil {
-			grp = &Group{Delta: m.Delta, Root: &Node{}}
+			grp = &Group{Trie: mackey.Trie{Delta: m.Delta, Root: &mackey.Node{}}}
 			byDelta[m.Delta] = grp
 			plan.Groups = append(plan.Groups, grp)
 		}
@@ -119,6 +92,7 @@ func PlanSet(motifs []*temporal.Motif) (*Plan, error) {
 	}
 	for _, grp := range plan.Groups {
 		grp.ForkPoints = countForks(grp.Root)
+		grp.NumMotifs = len(motifs)
 	}
 	return plan, nil
 }
@@ -165,7 +139,7 @@ func canonicalize(m *temporal.Motif) ([]temporal.MotifEdge, int) {
 	out := make([]temporal.MotifEdge, m.NumEdges())
 	for i, e := range m.Edges {
 		// Src is labeled before Dst, matching the bind order of the
-		// executor's root task.
+		// mackey worker's root task.
 		s := label(e.Src)
 		d := label(e.Dst)
 		out[i] = temporal.MotifEdge{Src: s, Dst: d}
@@ -178,7 +152,7 @@ func (g *Group) insert(idx int, m *temporal.Motif, canon []temporal.MotifEdge, n
 	n := g.Root
 	n.Passing++
 	for d, e := range canon {
-		var child *Node
+		var child *mackey.Node
 		for _, c := range n.Children {
 			if c.Edge == e {
 				child = c
@@ -186,7 +160,7 @@ func (g *Group) insert(idx int, m *temporal.Motif, canon []temporal.MotifEdge, n
 			}
 		}
 		if child == nil {
-			child = &Node{Edge: e, Depth: d + 1}
+			child = &mackey.Node{Edge: e, Depth: d + 1}
 			n.Children = append(n.Children, child)
 			g.TrieEdges++
 		}
@@ -204,7 +178,7 @@ func (g *Group) insert(idx int, m *temporal.Motif, canon []temporal.MotifEdge, n
 	}
 }
 
-func countForks(n *Node) int {
+func countForks(n *mackey.Node) int {
 	forks := 0
 	if len(n.Children) > 1 {
 		forks++

@@ -36,10 +36,8 @@ type algo1 struct {
 	eCount []int32
 	eStack []temporal.EdgeID
 
-	// wc memoizes per-node filter bounds (see worker.wc); useCache is off
-	// for Baseline runs, which keep the plain binary search.
-	wc       temporal.WindowCache
-	useCache bool
+	// wc memoizes per-node filter bounds (see worker.wc).
+	wc temporal.WindowCache
 
 	tPrime temporal.Timestamp // t′: exclusive-inclusive end-time bound
 	rootEG temporal.EdgeID
@@ -69,10 +67,8 @@ func (a *algo1) checkpoint() {
 func (a *algo1) finish() Result {
 	truncated := a.stopped
 	a.checkpoint()
-	if a.useCache {
-		a.stats.SearchCacheHits = a.wc.Hits()
-		a.stats.SearchCacheMisses = a.wc.Misses()
-	}
+	a.stats.SearchCacheHits = a.wc.Hits()
+	a.stats.SearchCacheMisses = a.wc.Misses()
 	res := Result{Matches: a.stats.Matches, Stats: a.stats, Truncated: truncated}
 	if truncated {
 		res.StopReason = a.opts.Ctl.Reason()
@@ -217,12 +213,7 @@ func (a *algo1) findNextMatchingEdge(eM int, cursor temporal.EdgeID) temporal.Ed
 		return temporal.InvalidEdge
 	}
 
-	var start int
-	if a.useCache {
-		start = a.wc.SearchAfter(list, out, node, cursor-1)
-	} else {
-		start = temporal.SearchAfter(list, cursor-1)
-	}
+	start := a.wc.SearchAfter(list, out, node, cursor-1)
 	a.stats.BinarySearches++
 	a.stats.NeighborEntries += int64(len(list))
 	a.stats.NeighborEntriesUseful += int64(len(list) - start)

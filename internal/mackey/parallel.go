@@ -40,6 +40,34 @@ func MineParallel(g *temporal.Graph, m *temporal.Motif, opts Options) Result {
 // (carrying the offending root edge ID) instead of killing the process;
 // the remaining workers are stopped and their partial stats returned.
 func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, opts Options, b runctl.Budget) (Result, error) {
+	res, err := mineChunks(ctx, g, m, nil, opts, b)
+	return res.Result, err
+}
+
+// TrieResult is the outcome of a trie run: the merged Result (Matches
+// sums every motif) plus the per-motif counts and the shared-work tally.
+type TrieResult struct {
+	Result
+	// Counts holds each motif's exact (possibly partial) count, indexed
+	// like Node.Terminal; len(Counts) == Trie.NumMotifs.
+	Counts []int64
+	// Shared counts expansions at trie nodes with Passing > 1 — each one
+	// replaced Passing single-motif expansions.
+	Shared int64
+}
+
+// MineTrieCtx mines every motif of t in one traversal per root edge,
+// with the scheduler, cancellation, panic containment and chaos site of
+// MineParallelCtx. Shared expansions are charged once, so Stats is not
+// comparable field by field with per-motif runs; Counts are.
+func MineTrieCtx(ctx context.Context, g *temporal.Graph, t *Trie, opts Options, b runctl.Budget) (TrieResult, error) {
+	return mineChunks(ctx, g, nil, t, opts, b)
+}
+
+// mineChunks is the one chunk scheduler: workers walking t (or m's
+// one-path trie when t is nil) pull time-partitioned root chunks
+// through a shared atomic cursor.
+func mineChunks(ctx context.Context, g *temporal.Graph, m *temporal.Motif, t *Trie, opts Options, b runctl.Budget) (TrieResult, error) {
 	if opts.Ctl == nil {
 		// Always run parallel workers under a controller so that a panic
 		// in one worker stops the others promptly.
@@ -59,12 +87,12 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 	// Time-partitioned dynamic scheduling: the root space is pre-split
 	// into contiguous, timestamp-aligned edge ranges, and workers steal
 	// whole ranges through a shared atomic cursor. Ranges are small enough
-	// to balance the heavy-tailed tree sizes (like the previous flat
-	// chunking) but, because each range covers a half-open time interval,
-	// the roots a worker mines consecutively stay temporally adjacent —
-	// which is exactly what keeps its worker-local window cache advancing
-	// monotonically instead of thrashing.
-	bounds := partitionRootsRange(g, workers, temporal.EdgeID(lo), temporal.EdgeID(hi))
+	// to balance the heavy-tailed tree sizes but, because each range
+	// covers a half-open time interval, the roots a worker mines
+	// consecutively stay temporally adjacent — which is exactly what
+	// keeps its worker-local window cache advancing monotonically instead
+	// of thrashing.
+	bounds := partitionRoots(g, workers, temporal.EdgeID(lo), temporal.EdgeID(hi))
 	numChunks := int64(len(bounds) - 1)
 
 	// Per-worker observability tallies, written only by the owning worker
@@ -78,7 +106,8 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 
 	plan := ctl.FaultPlan()
 	var cursor atomic.Int64
-	perWorker := make([]Stats, workers)
+	ws := make([]*worker, workers)
+	panicked := make([]bool, workers)
 	perChunks := make([]int64, workers)
 	perBusy := make([]time.Duration, workers)
 	errs := make([]error, workers)
@@ -91,9 +120,9 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 			if observed {
 				busyStart = time.Now()
 			}
-			w := acquireWorker(g, m, opts)
+			w := acquireWorker(g, m, t, opts)
+			ws[wi] = w
 			cur := int64(temporal.InvalidEdge)
-			panicked := false
 			defer func() {
 				if r := recover(); r != nil {
 					if inj, ok := r.(*faultinject.Injected); ok {
@@ -106,13 +135,7 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 						errs[wi] = &runctl.PanicError{Worker: wi, Root: cur, Value: r}
 						ctl.Stop(runctl.Failed)
 					}
-					panicked = true
-					perWorker[wi] = w.stats
-				}
-				if !panicked {
-					// A panicked worker's bindings are mid-tree; abandon it
-					// to the GC rather than pooling corrupt state.
-					w.release()
+					panicked[wi] = true
 				}
 				if observed {
 					perBusy[wi] = time.Since(busyStart)
@@ -145,16 +168,19 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 			}
 			w.checkpoint() // flush the tail of this worker's progress
 			w.foldCacheStats()
-			perWorker[wi] = w.stats
 		}(wi)
 	}
 	wg.Wait()
 
-	var total Stats
-	for _, s := range perWorker {
-		total.Add(s)
+	res := TrieResult{Counts: make([]int64, len(ws[0].counts))}
+	for _, w := range ws {
+		res.Stats.Add(w.stats)
+		for i, c := range w.counts {
+			res.Counts[i] += c
+		}
+		res.Shared += w.shared
 	}
-	res := Result{Matches: total.Matches, Stats: total}
+	res.Matches = res.Stats.Matches
 	if ctl.Stopped() {
 		res.Truncated = true
 		res.StopReason = ctl.Reason()
@@ -166,14 +192,14 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 	if opts.Obs != nil {
 		busyHist := opts.Obs.Histogram("mackey.worker_busy_ns")
 		nodesHist := opts.Obs.Histogram("mackey.worker_nodes")
-		for wi := range perWorker {
-			publishStats(opts.Obs, wi, perWorker[wi])
+		for wi, w := range ws {
+			publishStats(opts.Obs, wi, w.stats)
 			if perChunks[wi] > 0 {
 				opts.Obs.Counter("mackey.parallel.chunks").AddShard(wi, perChunks[wi])
 				opts.Obs.Counter("mackey.parallel.steals").AddShard(wi, perChunks[wi]-1)
 			}
 			busyHist.Observe(perBusy[wi].Nanoseconds())
-			nodesHist.Observe(perWorker[wi].NodesExpanded)
+			nodesHist.Observe(w.stats.NodesExpanded)
 		}
 		if res.Truncated {
 			opts.Obs.Counter("mackey.truncated_runs").Add(1)
@@ -187,6 +213,13 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 		}
 		opts.Trace.EmitTagged("mackey.mine_parallel", traceID, -1, runStart, time.Since(runStart))
 	}
+	for wi, w := range ws {
+		if !panicked[wi] {
+			// A panicked worker's bindings are mid-tree; abandon it to the
+			// GC rather than pooling corrupt state.
+			w.release()
+		}
+	}
 
 	for _, err := range errs {
 		if err != nil {
@@ -196,21 +229,14 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 	return res, nil
 }
 
-// partitionRoots splits the root space [0, NumEdges) into contiguous
-// chunk boundaries: chunk k is bounds[k]..bounds[k+1]. Target chunk size
-// matches the previous flat scheduling (n / (workers·16), clamped to
-// [1, 256] roots), but every boundary is snapped forward past timestamp
-// ties so each chunk covers a half-open time interval — a time partition
-// of the edge list, not just an index partition.
-func partitionRoots(g *temporal.Graph, workers int) []temporal.EdgeID {
-	return partitionRootsRange(g, workers, 0, temporal.EdgeID(g.NumEdges()))
-}
-
-// partitionRootsRange is partitionRoots restricted to the half-open root
-// index range [lo, hi) — the same chunk sizing and tie-snapping, applied
-// within the range. The sharding layer hands each worker process one
-// such range; this keeps the in-process scheduler identical inside it.
-func partitionRootsRange(g *temporal.Graph, workers int, lo, hi temporal.EdgeID) []temporal.EdgeID {
+// partitionRoots splits the half-open root index range [lo, hi) into
+// contiguous chunk boundaries: chunk k is bounds[k]..bounds[k+1]. Target
+// chunk size is n / (workers·16), clamped to [1, 256] roots, but every
+// boundary is snapped forward past timestamp ties so each chunk covers a
+// half-open time interval — a time partition of the edge list, not just
+// an index partition. The sharding layer hands each worker process one
+// such range; the in-process scheduler partitions identically inside it.
+func partitionRoots(g *temporal.Graph, workers int, lo, hi temporal.EdgeID) []temporal.EdgeID {
 	n := int(hi - lo)
 	if n < 0 {
 		n = 0
@@ -235,16 +261,6 @@ func partitionRootsRange(g *temporal.Graph, workers int, lo, hi temporal.EdgeID)
 		b += chunk
 	}
 	return append(bounds, hi)
-}
-
-// PartitionRoots exposes the time-partitioned chunk boundaries over the
-// half-open root index range [lo, hi) to sibling engines (the co-mining
-// executor in internal/comine schedules its groups over the same
-// timestamp-aligned chunks, so its per-worker window caches advance
-// monotonically exactly like this package's workers do). Chunk k spans
-// bounds[k]..bounds[k+1].
-func PartitionRoots(g *temporal.Graph, workers int, lo, hi temporal.EdgeID) []temporal.EdgeID {
-	return partitionRootsRange(g, workers, lo, hi)
 }
 
 // MineMemo runs the sequential reference miner with software search index

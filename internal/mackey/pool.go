@@ -7,14 +7,13 @@ import (
 )
 
 // Allocation pooling for the mining hot path. A miner's per-run state is
-// two O(|V_G|)-ish node-mapping arrays, the match stack, and the window
-// cache — all of it reusable verbatim between runs once the bindings are
-// cleared. The pools below recycle that state so steady-state mining
-// (repeated Count/Enumerate calls, per-worker state in the parallel
-// miners, benchmark loops) performs zero per-run heap allocations; the
-// per-expansion path was already allocation-free. Options.Baseline opts a
-// run out of pooling (and the window cache) to preserve the pre-overhaul
-// behavior as the A/B reference for `make bench-compare`.
+// two O(|V_G|)-ish node-mapping arrays, the match stack, the count cells,
+// the one-path trie of a single-motif run, and the window cache — all of
+// it reusable verbatim between runs once the bindings are cleared. The
+// pools below recycle that state so steady-state mining (repeated
+// Count/Enumerate calls, per-worker state in the parallel miners,
+// benchmark loops) performs zero per-run heap allocations; the
+// per-expansion path was already allocation-free.
 //
 // Pooled state is single-owner: a worker is checked out by exactly one
 // goroutine and returned only after its stats are harvested. A worker that
@@ -23,31 +22,29 @@ import (
 
 var workerPool sync.Pool
 
-// acquireWorker returns a run-ready worker, recycled when possible.
-func acquireWorker(g *temporal.Graph, m *temporal.Motif, opts Options) *worker {
+// acquireWorker returns a run-ready worker, recycled when possible, that
+// walks t — or, when t is nil, m's one-path trie.
+func acquireWorker(g *temporal.Graph, m *temporal.Motif, t *Trie, opts Options) *worker {
 	var w *worker
-	if !opts.Baseline {
-		if v := workerPool.Get(); v != nil {
-			w = v.(*worker)
-			w.stats = Stats{PoolReuse: 1}
-		}
-	}
-	if w == nil {
-		w = &worker{}
-		w.stats = Stats{}
-	}
-	w.g, w.m, w.opts = g, m, opts
-	w.legacyScan = opts.Baseline || opts.Memo != nil
-	w.m2g = resizeInvalid(w.m2g, m.NumNodes())
-	w.g2m = resizeInvalid(w.g2m, g.NumNodes())
-	if cap(w.seq) < m.NumEdges() {
-		w.seq = make([]temporal.EdgeID, 0, m.NumEdges())
+	if v := workerPool.Get(); v != nil {
+		w = v.(*worker)
+		w.stats = Stats{PoolReuse: 1}
 	} else {
-		w.seq = w.seq[:0]
+		w = &worker{}
 	}
-	if !w.legacyScan {
-		w.wc.ResetFor(g)
+	if t == nil {
+		t = w.loadMotif(m)
 	}
+	w.g, w.roots, w.delta, w.opts = g, t.Root.Children, t.Delta, opts
+	w.m2g = resizeInvalid(w.m2g, t.MaxMotifNodes)
+	w.g2m = resizeInvalid(w.g2m, g.NumNodes())
+	w.counts = resizeZero(w.counts, t.NumMotifs)
+	if cap(w.seq) < t.MaxMotifEdges {
+		w.seq = make([]temporal.EdgeID, t.MaxMotifEdges)
+	}
+	w.seq = w.seq[:t.MaxMotifEdges]
+	w.wc.ResetFor(g)
+	w.shared = 0
 	w.rootEG = 0
 	w.sinceCheck = 0
 	w.stopped = false
@@ -55,20 +52,17 @@ func acquireWorker(g *temporal.Graph, m *temporal.Motif, opts Options) *worker {
 	return w
 }
 
-// release clears any live bindings (a truncated run stops mid-tree) and
-// returns the worker to the pool. Baseline workers are not pooled.
+// release clears any live bindings (a truncated run stops mid-tree),
+// zeroes the count cells, and returns the worker to the pool.
 func (w *worker) release() {
-	if w.opts.Baseline {
-		return
-	}
 	for mu, gu := range w.m2g {
 		if gu != temporal.InvalidNode {
 			w.g2m[gu] = temporal.InvalidNode
 			w.m2g[mu] = temporal.InvalidNode
 		}
 	}
-	w.seq = w.seq[:0]
-	w.g, w.m = nil, nil
+	clear(w.counts)
+	w.g, w.roots = nil, nil
 	w.opts = Options{}
 	workerPool.Put(w)
 }
@@ -79,18 +73,13 @@ var algo1Pool sync.Pool
 // possible.
 func acquireAlgo1(g *temporal.Graph, m *temporal.Motif, opts Options) *algo1 {
 	var a *algo1
-	if !opts.Baseline {
-		if v := algo1Pool.Get(); v != nil {
-			a = v.(*algo1)
-			a.stats = Stats{PoolReuse: 1}
-		}
-	}
-	if a == nil {
+	if v := algo1Pool.Get(); v != nil {
+		a = v.(*algo1)
+		a.stats = Stats{PoolReuse: 1}
+	} else {
 		a = &algo1{}
-		a.stats = Stats{}
 	}
 	a.g, a.m, a.opts = g, m, opts
-	a.useCache = !opts.Baseline
 	a.m2g = resizeInvalid(a.m2g, m.NumNodes())
 	a.g2m = resizeInvalid(a.g2m, g.NumNodes())
 	a.eCount = resizeZero(a.eCount, g.NumNodes())
@@ -99,9 +88,7 @@ func acquireAlgo1(g *temporal.Graph, m *temporal.Motif, opts Options) *algo1 {
 	} else {
 		a.eStack = a.eStack[:0]
 	}
-	if a.useCache {
-		a.wc.ResetFor(g)
-	}
+	a.wc.ResetFor(g)
 	a.tPrime = 0
 	a.rootEG = 0
 	a.sinceCheck = 0
@@ -111,11 +98,8 @@ func acquireAlgo1(g *temporal.Graph, m *temporal.Motif, opts Options) *algo1 {
 }
 
 // release clears live bindings and mapped-edge counts, then pools the
-// state. Baseline runs are not pooled.
+// state.
 func (a *algo1) release() {
-	if a.opts.Baseline {
-		return
-	}
 	for mu, gu := range a.m2g {
 		if gu != temporal.InvalidNode {
 			a.g2m[gu] = temporal.InvalidNode
@@ -151,9 +135,9 @@ func resizeInvalid(s []temporal.NodeID, n int) []temporal.NodeID {
 
 // resizeZero returns s resized to n zero entries under the same pool
 // invariant (released counts are zero within the high-water length).
-func resizeZero(s []int32, n int) []int32 {
+func resizeZero[T int32 | int64](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	old := len(s)
 	s = s[:n]

@@ -40,12 +40,6 @@ type Options struct {
 	// per parallel worker) in Chrome trace_event form.
 	Trace *obs.Tracer
 
-	// Baseline runs the pre-overhaul hot path: no worker pooling, no
-	// window-cached searches, closure-based candidate scans. It exists as
-	// the A/B reference for `make bench-compare` and as an extra engine in
-	// the differential harness; results are identical either way.
-	Baseline bool
-
 	// Roots, when non-nil, restricts the run to root edges in the
 	// half-open index range [Roots.Lo, Roots.Hi). Motif instances are
 	// counted iff their root (earliest) edge lies in the range; later
@@ -101,7 +95,7 @@ func Mine(g *temporal.Graph, m *temporal.Motif, opts Options) Result {
 	if opts.Trace != nil {
 		start = time.Now()
 	}
-	w := acquireWorker(g, m, opts)
+	w := acquireWorker(g, m, nil, opts)
 	lo, hi := opts.rootSpan(g.NumEdges())
 	if plan := opts.Ctl.FaultPlan(); plan != nil {
 		for root := lo; root < hi; root++ {
@@ -144,26 +138,24 @@ func controllerFor(ctx context.Context, b runctl.Budget) *runctl.Controller {
 	return runctl.New(ctx, b)
 }
 
-// worker holds the per-thread mining state: the node mappings (m2gMap and
-// g2mMap from Algorithm 1) and instrumentation counters. A worker expands
-// complete search trees one root at a time; distinct workers never share
-// mutable state except the (atomically updated) memo table.
+// worker holds the per-thread mining state: the trie it walks, the node
+// mappings (m2g and g2m from Algorithm 1), one count cell per trie motif,
+// and instrumentation counters. A worker expands complete search trees
+// one root at a time; distinct workers never share mutable state except
+// the (atomically updated) memo table.
 type worker struct {
-	g    *temporal.Graph
-	m    *temporal.Motif
-	opts Options
+	g     *temporal.Graph
+	roots []*Node // the trie's first-level nodes, bound to each root edge
+	delta temporal.Timestamp
+	opts  Options
 
 	m2g []temporal.NodeID // motif node -> graph node, -1 if unmapped
 	g2m []temporal.NodeID // graph node -> motif node, -1 if unmapped
-	seq []temporal.EdgeID // matched graph edges in motif order (eStack)
+	seq []temporal.EdgeID // matched graph edges by trie depth (eStack)
 
 	// wc memoizes per-node phase-1 filter bounds across expansions and
 	// root tasks; worker-owned, so the parallel miners stay race-free.
 	wc temporal.WindowCache
-	// legacyScan routes candidate scans through the closure-based
-	// scanList: set for Baseline runs (the A/B reference) and for memoized
-	// runs (the memo table is its own, separately evaluated optimization).
-	legacyScan bool
 
 	rootEG temporal.EdgeID
 	stats  Stats
@@ -174,6 +166,15 @@ type worker struct {
 	sinceCheck     int32
 	stopped        bool
 	flushedMatches int64
+
+	counts []int64 // matches per trie motif, indexed like Node.Terminal
+	shared int64   // expansions at trie nodes with Passing > 1
+
+	// path, kids and solo hold the one-path trie of a single-motif run
+	// (see loadMotif), reused across runs.
+	path []Node
+	kids []*Node
+	solo Trie
 }
 
 // checkpoint flushes the worker's progress into the shared controller and
@@ -210,11 +211,9 @@ func (w *worker) finish() Result {
 }
 
 // foldCacheStats snapshots the window cache's counters into Stats so one
-// Result (and the obs fold) carries them; a no-op when the cache is off.
+// Result (and the obs fold) carries them; both stay zero under the memo
+// table, which replaces the cache.
 func (w *worker) foldCacheStats() {
-	if w.legacyScan {
-		return
-	}
 	w.stats.SearchCacheHits = w.wc.Hits()
 	w.stats.SearchCacheMisses = w.wc.Misses()
 }
@@ -242,9 +241,10 @@ func (w *worker) mineRootChaos(plan *faultinject.Plan, root temporal.EdgeID) {
 	w.mineRoot(root)
 }
 
-// mineRoot expands the complete search tree rooted at matching motif edge
-// 0 to graph edge root. Root tasks are exactly the paper's root
-// book-keeping tasks (§IV-A).
+// mineRoot expands the complete search tree rooted at graph edge root:
+// the root edge is bound as each first-level trie edge and the trie is
+// walked from there with deadline root.Time + δ. Root tasks are exactly
+// the paper's root book-keeping tasks (§IV-A).
 func (w *worker) mineRoot(root temporal.EdgeID) {
 	e := w.g.Edges[root]
 	if e.Src == e.Dst {
@@ -252,16 +252,18 @@ func (w *worker) mineRoot(root temporal.EdgeID) {
 	}
 	w.stats.RootTasks++
 	w.rootEG = root
-	me := w.m.Edges[0]
-	w.bind(me.Src, e.Src)
-	w.bind(me.Dst, e.Dst)
-	w.seq = append(w.seq, root)
-	w.stats.BookkeepTasks++
-	w.extend(1, root, e.Time+w.m.Delta)
-	w.seq = w.seq[:0]
-	w.unbind(me.Dst, e.Dst)
-	w.unbind(me.Src, e.Src)
-	w.stats.BacktrackTasks++
+	deadline := e.Time + w.delta
+	for _, c := range w.roots {
+		w.bind(c.Edge.Src, e.Src)
+		w.bind(c.Edge.Dst, e.Dst)
+		w.visit(c, root, deadline)
+		w.unbind(c.Edge.Dst, e.Dst)
+		w.unbind(c.Edge.Src, e.Src)
+		w.stats.BacktrackTasks++
+		if w.stopped {
+			break
+		}
+	}
 }
 
 func (w *worker) bind(mu temporal.NodeID, gu temporal.NodeID) {
@@ -274,11 +276,13 @@ func (w *worker) unbind(mu temporal.NodeID, gu temporal.NodeID) {
 	w.g2m[gu] = temporal.InvalidNode
 }
 
-// extend matches motif edge depth against graph edges later than last and
-// no later than deadline, recursing on every success. It is the recursive
-// equivalent of the paper's FindNextMatchingEdge + UpdateDataStructures +
-// backtracking loop.
-func (w *worker) extend(depth int, last temporal.EdgeID, deadline temporal.Timestamp) {
+// visit records the mapping of trie node n's edge to graph edge id (a
+// book-keeping task) and continues the search from there: motifs
+// terminal at n gain one match each (the point where per-motif
+// bookkeeping forks), then every child edge is matched against graph
+// edges after id and no later than deadline.
+func (w *worker) visit(n *Node, id temporal.EdgeID, deadline temporal.Timestamp) {
+	w.stats.BookkeepTasks++
 	if w.stopped {
 		return
 	}
@@ -289,109 +293,72 @@ func (w *worker) extend(depth int, last temporal.EdgeID, deadline temporal.Times
 			return
 		}
 	}
-	if depth == w.m.NumEdges() {
-		w.stats.Matches++
-		if w.opts.Probe != nil {
-			w.opts.Probe.Match(edgeIDsAsInt32(w.seq))
-		}
-		if w.opts.Ctl.MatchBudgeted() {
-			// Eager poll under a match budget: the sequential miner then
-			// stops after exactly MaxMatches matches.
-			w.checkpoint()
-		}
-		return
+	if n.Passing > 1 {
+		w.shared++
 	}
+	w.seq[n.Depth-1] = id
+	if len(n.Terminal) > 0 {
+		for _, idx := range n.Terminal {
+			w.counts[idx]++
+		}
+		w.stats.Matches += int64(len(n.Terminal))
+		if (w.opts.Probe != nil || w.opts.Ctl.MatchBudgeted()) && w.report(n) {
+			return
+		}
+	}
+	// One child is the common case (every node of a single motif's path).
+	// The expand call is the frame's last act and the fork loop lives out
+	// of line, so visit need not spill its arguments around the call.
+	if len(n.Children) == 1 {
+		w.expand(n.Children[0], id, deadline)
+	} else {
+		w.fork(n.Children, id, deadline)
+	}
+}
+
+// fork expands each child of a trie node in turn: the divergence point
+// where co-mined motifs part ways.
+func (w *worker) fork(children []*Node, last temporal.EdgeID, deadline temporal.Timestamp) {
+	for _, c := range children {
+		w.expand(c, last, deadline)
+		if w.stopped {
+			return
+		}
+	}
+}
+
+// report hands the matches completing at n to the probe, one call per
+// terminal motif, and polls the controller eagerly under a match budget
+// so the sequential miner stops after exactly MaxMatches matches. It
+// reports whether the run has stopped.
+func (w *worker) report(n *Node) bool {
+	if w.opts.Probe != nil {
+		for range n.Terminal {
+			w.opts.Probe.Match(edgeIDsAsInt32(w.seq[:n.Depth]))
+		}
+	}
+	if w.opts.Ctl.MatchBudgeted() {
+		w.checkpoint()
+	}
+	return w.stopped
+}
+
+// expand matches trie node n's motif edge against graph edges later than
+// last and no later than deadline, visiting n on every success. It is the
+// recursive equivalent of the paper's FindNextMatchingEdge +
+// UpdateDataStructures + backtracking loop, specialized into one
+// candidate loop per neighborhood shape (Algorithm 1 lines 31–37) so the
+// structural check and endpoint rebinding are inlined.
+func (w *worker) expand(n *Node, last temporal.EdgeID, deadline temporal.Timestamp) {
 	w.stats.SearchTasks++
-	me := w.m.Edges[depth]
+	me := n.Edge
 	uG := w.m2g[me.Src]
 	vG := w.m2g[me.Dst]
-
-	if uG == temporal.InvalidNode && vG == temporal.InvalidNode {
-		// Neither endpoint mapped (Algorithm 1 line 37): the search space
-		// is the whole remaining edge list. Only reachable for motifs whose
-		// edge sequence is not connected-prefix; kept for full generality.
-		for id := int(last) + 1; id < w.g.NumEdges(); id++ {
-			e := w.g.Edges[id]
-			if e.Time > deadline {
-				w.stats.TimePrunedScans++
-				break
-			}
-			w.stats.CandidateEdges++
-			w.stats.Branches++
-			if e.Src == e.Dst ||
-				w.g2m[e.Src] != temporal.InvalidNode ||
-				w.g2m[e.Dst] != temporal.InvalidNode {
-				continue
-			}
-			w.bind(me.Src, e.Src)
-			w.bind(me.Dst, e.Dst)
-			w.accept(depth, temporal.EdgeID(id), deadline)
-			w.unbind(me.Dst, e.Dst)
-			w.unbind(me.Src, e.Src)
-		}
-	} else if w.legacyScan {
-		w.extendLegacy(me, uG, vG, depth, last, deadline)
-	} else {
-		w.extendFast(me, uG, vG, depth, last, deadline)
-	}
-	w.stats.BacktrackTasks++
-}
-
-// extendLegacy dispatches the three neighborhood shapes through the
-// closure-based scanList — the pre-overhaul path, kept as the Baseline
-// A/B reference and as the host of the memo-table logic.
-func (w *worker) extendLegacy(me temporal.MotifEdge, uG, vG temporal.NodeID,
-	depth int, last temporal.EdgeID, deadline temporal.Timestamp) {
-
-	switch {
-	case uG != temporal.InvalidNode && vG != temporal.InvalidNode:
-		// Both endpoints mapped (Algorithm 1 line 31): scan the smaller of
-		// Nout(uG) and Nin(vG), matching the other endpoint exactly.
-		outList := w.g.OutEdges(uG)
-		inList := w.g.InEdges(vG)
-		if len(outList) <= len(inList) {
-			w.scanList(outList, true, uG, depth, last, deadline, func(e temporal.Edge) bool { return e.Dst == vG }, nil)
-		} else {
-			w.scanList(inList, false, vG, depth, last, deadline, func(e temporal.Edge) bool { return e.Src == uG }, nil)
-		}
-
-	case uG != temporal.InvalidNode:
-		// Source mapped (line 33): scan Nout(uG), destination must be free.
-		w.scanList(w.g.OutEdges(uG), true, uG, depth, last, deadline,
-			func(e temporal.Edge) bool { return w.g2m[e.Dst] == temporal.InvalidNode },
-			func(e temporal.Edge, bind bool) {
-				if bind {
-					w.bind(me.Dst, e.Dst)
-				} else {
-					w.unbind(me.Dst, e.Dst)
-				}
-			})
-
-	case vG != temporal.InvalidNode:
-		// Destination mapped (line 35): scan Nin(vG), source must be free.
-		w.scanList(w.g.InEdges(vG), false, vG, depth, last, deadline,
-			func(e temporal.Edge) bool { return w.g2m[e.Src] == temporal.InvalidNode },
-			func(e temporal.Edge, bind bool) {
-				if bind {
-					w.bind(me.Src, e.Src)
-				} else {
-					w.unbind(me.Src, e.Src)
-				}
-			})
-	}
-}
-
-// extendFast is extendLegacy with the dispatch devirtualized: the
-// structural predicate and endpoint rebinding are inlined into three
-// specialized candidate loops (no per-candidate closure calls), and the
-// phase-1 filter origin comes from the worker's window cache instead of a
-// fresh binary search. Same answers, same Stats accounting.
-func (w *worker) extendFast(me temporal.MotifEdge, uG, vG temporal.NodeID,
-	depth int, last temporal.EdgeID, deadline temporal.Timestamp) {
-
 	g := w.g
 	switch {
 	case uG != temporal.InvalidNode && vG != temporal.InvalidNode:
+		// Both endpoints mapped (line 31): scan the smaller of Nout(uG)
+		// and Nin(vG), matching the other endpoint exactly.
 		outList := g.OutEdges(uG)
 		inList := g.InEdges(vG)
 		if len(outList) <= len(inList) {
@@ -408,7 +375,7 @@ func (w *worker) extendFast(me temporal.MotifEdge, uG, vG temporal.NodeID,
 				if e.Dst != vG {
 					continue
 				}
-				w.accept(depth, id, deadline)
+				w.visit(n, id, deadline)
 			}
 			w.chargeScan(i - start)
 		} else {
@@ -425,12 +392,13 @@ func (w *worker) extendFast(me temporal.MotifEdge, uG, vG temporal.NodeID,
 				if e.Src != uG {
 					continue
 				}
-				w.accept(depth, id, deadline)
+				w.visit(n, id, deadline)
 			}
 			w.chargeScan(i - start)
 		}
 
 	case uG != temporal.InvalidNode:
+		// Source mapped (line 33): scan Nout(uG), destination must be free.
 		list := g.OutEdges(uG)
 		start := w.scanStart(list, true, uG, last)
 		i := start
@@ -445,12 +413,13 @@ func (w *worker) extendFast(me temporal.MotifEdge, uG, vG temporal.NodeID,
 				continue
 			}
 			w.bind(me.Dst, e.Dst)
-			w.accept(depth, id, deadline)
+			w.visit(n, id, deadline)
 			w.unbind(me.Dst, e.Dst)
 		}
 		w.chargeScan(i - start)
 
-	default: // vG mapped
+	case vG != temporal.InvalidNode:
+		// Destination mapped (line 35): scan Nin(vG), source must be free.
 		list := g.InEdges(vG)
 		start := w.scanStart(list, false, vG, last)
 		i := start
@@ -465,108 +434,87 @@ func (w *worker) extendFast(me temporal.MotifEdge, uG, vG temporal.NodeID,
 				continue
 			}
 			w.bind(me.Src, e.Src)
-			w.accept(depth, id, deadline)
+			w.visit(n, id, deadline)
 			w.unbind(me.Src, e.Src)
 		}
 		w.chargeScan(i - start)
+
+	default:
+		w.expandUnanchored(n, last, deadline)
 	}
+	w.stats.BacktrackTasks++
 }
 
-// chargeScan charges n candidate-edge examinations in one shot. The fast
-// loops count locally and batch the charge after the scan instead of
-// incrementing two counters per candidate; the resulting Stats values are
-// identical to the per-candidate accounting of the legacy path (a scan
-// examines exactly the entries before the δ-deadline break).
-func (w *worker) chargeScan(n int) {
-	w.stats.CandidateEdges += int64(n)
-	w.stats.Branches += int64(n)
-}
-
-// scanStart computes the phase-1 filter origin for a neighborhood scan via
-// the window cache and charges the same accounting scanList does, so a
-// Baseline run and an optimized run report identical Stats.
-func (w *worker) scanStart(list []temporal.EdgeID, out bool, node temporal.NodeID, last temporal.EdgeID) int {
-	start := w.wc.SearchAfter(list, out, node, last)
-	w.stats.BinarySearches++
-	if n := len(list); n > 0 {
-		w.stats.Branches += int64(bits.Len(uint(n)))
-	}
-	w.stats.NeighborEntries += int64(len(list))
-	w.stats.NeighborEntriesUseful += int64(len(list) - start)
-	if w.opts.Probe != nil {
-		w.opts.Probe.NeighborhoodAccess(int32(node), out, len(list), start, int32(w.rootEG))
-	}
-	return start
-}
-
-// scanList is the shared phase-1/phase-2 candidate loop over one node
-// neighborhood. valid is the structural predicate; rebind (optional)
-// binds/unbinds the newly mapped endpoint around each recursion.
-func (w *worker) scanList(list []temporal.EdgeID, out bool, node temporal.NodeID,
-	depth int, last temporal.EdgeID, deadline temporal.Timestamp,
-	valid func(temporal.Edge) bool, rebind func(temporal.Edge, bool)) {
-
-	// Phase-1 filter origin. Software uses binary search; with memoization
-	// enabled the memoized index bounds the search range first and a
-	// second binary search refines it (§VII-D).
-	memoStart := 0
-	if w.opts.Memo != nil {
-		s, hit := w.opts.Memo.Lookup(out, node, w.rootEG)
-		if hit {
-			memoStart = s
-			w.stats.MemoHits++
-			w.stats.MemoSkippedEntries += int64(s)
-		}
-		w.stats.BinarySearches++ // the extra memo-index search
-		// Keep the memo current for later trees: position of first entry
-		// beyond this tree's root.
-		rootPos := memoStart + temporal.SearchAfter(list[memoStart:], w.rootEG)
-		w.opts.Memo.Update(out, node, w.rootEG, rootPos)
-	}
-	start := memoStart + temporal.SearchAfter(list[memoStart:], last)
-	w.stats.BinarySearches++
-	if n := len(list[memoStart:]); n > 0 {
-		w.stats.Branches += int64(bits.Len(uint(n)))
-	}
-
-	// Fig 7 accounting: a streaming hardware fetch transfers the tail of
-	// the neighborhood from the memo origin; only entries beyond the eG
-	// filter are useful.
-	w.stats.NeighborEntries += int64(len(list) - memoStart)
-	w.stats.NeighborEntriesUseful += int64(len(list) - start)
-	if w.opts.Probe != nil {
-		w.opts.Probe.NeighborhoodAccess(int32(node), out, len(list), start, int32(w.rootEG))
-	}
-
-	for i := start; i < len(list); i++ {
-		id := list[i]
-		e := w.g.Edges[id]
+// expandUnanchored is expand with neither endpoint mapped (Algorithm 1
+// line 37): the search space is the whole remaining edge list. Only
+// reachable for motifs whose edge sequence is not connected-prefix; kept
+// for full generality, out of line so the anchored loops stay compact.
+func (w *worker) expandUnanchored(n *Node, last temporal.EdgeID, deadline temporal.Timestamp) {
+	me := n.Edge
+	g := w.g
+	for id := int(last) + 1; id < g.NumEdges(); id++ {
+		e := g.Edges[id]
 		if e.Time > deadline {
 			w.stats.TimePrunedScans++
 			break
 		}
 		w.stats.CandidateEdges++
 		w.stats.Branches++
-		if !valid(e) {
+		if e.Src == e.Dst ||
+			w.g2m[e.Src] != temporal.InvalidNode ||
+			w.g2m[e.Dst] != temporal.InvalidNode {
 			continue
 		}
-		if rebind != nil {
-			rebind(e, true)
-		}
-		w.accept(depth, id, deadline)
-		if rebind != nil {
-			rebind(e, false)
-		}
+		w.bind(me.Src, e.Src)
+		w.bind(me.Dst, e.Dst)
+		w.visit(n, temporal.EdgeID(id), deadline)
+		w.unbind(me.Dst, e.Dst)
+		w.unbind(me.Src, e.Src)
 	}
 }
 
-// accept records a successful mapping of motif edge depth to graph edge id
-// and recurses to the next motif edge.
-func (w *worker) accept(depth int, id temporal.EdgeID, deadline temporal.Timestamp) {
-	w.stats.BookkeepTasks++
-	w.seq = append(w.seq, id)
-	w.extend(depth+1, id, deadline)
-	w.seq = w.seq[:len(w.seq)-1]
+// chargeScan charges n candidate-edge examinations in one shot: a scan
+// examines exactly the entries before the δ-deadline break, so counting
+// locally and charging once equals per-candidate accounting.
+func (w *worker) chargeScan(n int) {
+	w.stats.CandidateEdges += int64(n)
+	w.stats.Branches += int64(n)
+}
+
+// scanStart computes the phase-1 filter origin for a neighborhood scan
+// and charges its accounting. The origin comes from the worker's window
+// cache, or — with Options.Memo set — from the memo table: the memoized
+// index bounds the search range and a second binary search refines it
+// (§VII-D), and the streamed tail is counted from the memo origin.
+func (w *worker) scanStart(list []temporal.EdgeID, out bool, node temporal.NodeID, last temporal.EdgeID) int {
+	origin, start := 0, 0
+	if memo := w.opts.Memo; memo != nil {
+		if s, hit := memo.Lookup(out, node, w.rootEG); hit {
+			origin = s
+			w.stats.MemoHits++
+			w.stats.MemoSkippedEntries += int64(s)
+		}
+		w.stats.BinarySearches++ // the extra memo-index search
+		// Keep the memo current for later trees: position of the first
+		// entry beyond this tree's root.
+		memo.Update(out, node, w.rootEG, origin+temporal.SearchAfter(list[origin:], w.rootEG))
+		start = origin + temporal.SearchAfter(list[origin:], last)
+	} else {
+		start = w.wc.SearchAfter(list, out, node, last)
+	}
+	w.stats.BinarySearches++
+	if n := len(list) - origin; n > 0 {
+		w.stats.Branches += int64(bits.Len(uint(n)))
+	}
+	// Fig 7 accounting: a streaming hardware fetch transfers the tail of
+	// the neighborhood from the filter origin; only entries beyond the eG
+	// filter are useful.
+	w.stats.NeighborEntries += int64(len(list) - origin)
+	w.stats.NeighborEntriesUseful += int64(len(list) - start)
+	if w.opts.Probe != nil {
+		w.opts.Probe.NeighborhoodAccess(int32(node), out, len(list), start, int32(w.rootEG))
+	}
+	return start
 }
 
 // maxTimestamp is the sentinel deadline before the first edge is matched.

@@ -5,7 +5,9 @@
 //
 // Four miners are provided, all functionally identical:
 //
-//   - Mine: the recursive reference miner (clean DFS formulation).
+//   - Mine: the recursive reference miner (clean DFS formulation). Its
+//     worker walks a motif trie — a single motif is the one-path trie —
+//     so the co-miner in internal/comine runs on the same traversal.
 //   - MineAlgorithm1: an iterative miner mirroring the paper's Algorithm 1
 //     line-by-line (explicit eStack, eCount, t′, backtracking loop).
 //   - MineParallel: the task-centric multi-threaded variant the paper uses
@@ -87,8 +89,8 @@ type Stats struct {
 	// SearchCacheHits counts phase-1 filter origins answered from the
 	// per-worker window cache (exact repeats plus monotone advances);
 	// SearchCacheMisses counts cold or backward-seeking queries that fell
-	// back to a (range-narrowed) binary search. Both are zero for Baseline
-	// and memoized runs, which bypass the cache.
+	// back to a (range-narrowed) binary search. Both are zero for
+	// memoized runs, whose memo table replaces the cache.
 	SearchCacheHits   int64
 	SearchCacheMisses int64
 

@@ -17,9 +17,10 @@ import (
 
 // MineParallelSupervised is MineParallelCtx wrapped in a fault-tolerant
 // supervisor. The unit of supervision is the time-partitioned root chunk
-// (partitionRoots): chunks are complete, mutually independent search
-// trees, so a failed chunk can be retried — and a completed chunk
-// checkpointed — without touching any other chunk's work.
+// (partitionRoots over the run's root span): chunks are complete,
+// mutually independent search trees, so a failed chunk can be retried —
+// and a completed chunk checkpointed — without touching any other
+// chunk's work.
 //
 // The supervisor adds three behaviors on top of the plain parallel miner:
 //
@@ -184,11 +185,12 @@ func MineParallelSupervised(ctx context.Context, g *temporal.Graph, m *temporal.
 		workers = runtime.NumCPU()
 	}
 
-	// Establish the chunk partition. A resumed run reuses the bounds
-	// recorded in the snapshot verbatim, so resume is independent of the
-	// current worker count (bounds depend on the partitioning worker
-	// count, not the mining one).
-	bounds := partitionRoots(g, workers)
+	// Establish the chunk partition over the run's root span. A resumed
+	// run reuses the bounds recorded in the snapshot verbatim, so resume
+	// is independent of the current worker count (bounds depend on the
+	// partitioning worker count, not the mining one).
+	lo, hi := opts.rootSpan(g.NumEdges())
+	bounds := partitionRoots(g, workers, temporal.EdgeID(lo), temporal.EdgeID(hi))
 	var prev *checkpoint.File
 	if sup.Resume && sup.CheckpointPath != "" {
 		f, err := checkpoint.Load(sup.CheckpointPath, "")
@@ -204,6 +206,11 @@ func MineParallelSupervised(ctx context.Context, g *temporal.Graph, m *temporal.
 				return SupervisedResult{}, fmt.Errorf(
 					"mackey: checkpoint %s does not match this run (fingerprint %q, want %q)",
 					sup.CheckpointPath, f.Fingerprint, fp)
+			}
+			if n := len(loaded); n < 2 || loaded[0] != temporal.EdgeID(lo) || loaded[n-1] != temporal.EdgeID(hi) {
+				return SupervisedResult{}, fmt.Errorf(
+					"mackey: checkpoint %s was written for other root edges than this run's [%d, %d)",
+					sup.CheckpointPath, lo, hi)
 			}
 			bounds = loaded
 			prev = f
@@ -314,7 +321,7 @@ func MineParallelSupervised(ctx context.Context, g *temporal.Graph, m *temporal.
 						sv.hb.Beat(wi)
 						sv.current[wi].Store(int64(at.chunk) + 1)
 						if w == nil {
-							w = acquireWorker(sv.g, sv.m, sv.opts)
+							w = acquireWorker(sv.g, sv.m, nil, sv.opts)
 						}
 						out, keep := sv.mineChunk(w, wi, at)
 						if !keep {

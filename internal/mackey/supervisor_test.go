@@ -174,6 +174,56 @@ func TestSupervisedResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSupervisedRespectsRoots: a root-restricted supervised run counts
+// exactly what MineParallelCtx counts over the same range — not the whole
+// graph — its checkpoint resumes to the same count, and a whole-graph
+// checkpoint is refused rather than silently resumed over all roots.
+func TestSupervisedRespectsRoots(t *testing.T) {
+	g, m := supGraph(t)
+	n := temporal.EdgeID(g.NumEdges())
+	roots := &RootRange{Lo: n / 4, Hi: n / 2}
+	want, err := MineParallelCtx(context.Background(), g, m,
+		Options{Workers: 4, Roots: roots}, runctl.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full := Mine(g, m, Options{}).Matches; want.Matches == 0 || want.Matches >= full {
+		t.Fatalf("root range counts %d of %d; want a strict positive subset", want.Matches, full)
+	}
+
+	dir := t.TempDir()
+	ranged := filepath.Join(dir, "ranged.json")
+	res, err := MineParallelSupervised(context.Background(), g, m,
+		Options{Workers: 4, Roots: roots}, runctl.Budget{},
+		SupervisorOptions{CheckpointPath: ranged})
+	if err != nil {
+		t.Fatalf("supervised: %v", err)
+	}
+	if res.Truncated || res.Matches != want.Matches || res.Stats.RootTasks != want.Stats.RootTasks {
+		t.Fatalf("supervised over roots = %d matches, %d root tasks (truncated=%v); want %d, %d",
+			res.Matches, res.Stats.RootTasks, res.Truncated, want.Matches, want.Stats.RootTasks)
+	}
+	resumed, err := MineParallelSupervised(context.Background(), g, m,
+		Options{Workers: 4, Roots: roots}, runctl.Budget{},
+		SupervisorOptions{CheckpointPath: ranged, Resume: true})
+	if err != nil || resumed.Matches != want.Matches || resumed.ChunksResumed != resumed.ChunksTotal {
+		t.Fatalf("resume over roots = %d matches, %d/%d chunks resumed, %v; want %d, all resumed",
+			resumed.Matches, resumed.ChunksResumed, resumed.ChunksTotal, err, want.Matches)
+	}
+
+	whole := filepath.Join(dir, "whole.json")
+	if _, err := MineParallelSupervised(context.Background(), g, m,
+		Options{Workers: 4}, runctl.Budget{},
+		SupervisorOptions{CheckpointPath: whole}); err != nil {
+		t.Fatalf("whole-graph run: %v", err)
+	}
+	if _, err := MineParallelSupervised(context.Background(), g, m,
+		Options{Workers: 4, Roots: roots}, runctl.Budget{},
+		SupervisorOptions{CheckpointPath: whole, Resume: true}); err == nil {
+		t.Fatal("root-restricted resume accepted a whole-graph checkpoint")
+	}
+}
+
 // TestSupervisedWatchdogRequeuesStalledChunk delays chunk 0's first
 // attempt far beyond the stall timeout; the watchdog must requeue it so
 // the run still finishes promptly and exactly.

@@ -459,13 +459,13 @@ func TestCountBatchRootWindowsSumExactly(t *testing.T) {
 }
 
 // TestChaosCountBatchLoudTruncation pins fault injection to the
-// co-miner's chunk site: every chunk claim errors, so a batch request
+// executor's chunk site, which co-mined groups run on: every chunk claim errors, so a batch request
 // must come back 200 with EVERY entry loudly truncated as fault
 // injected (there is no estimator to silently substitute), and after
 // Threshold failures the workload breaker must open and shed the batch
 // with a 503 instead of lying.
 func TestChaosCountBatchLoudTruncation(t *testing.T) {
-	plan, err := mint.ParseChaosPlan("seed=1,error=1.0,sites=comine.chunk")
+	plan, err := mint.ParseChaosPlan("seed=1,error=1.0,sites=mackey.chunk")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ func TestSoakNeverSilentlyWrong(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: multi-second concurrent soak")
 	}
-	// No sites restriction: rate faults must reach both the single-motif
-	// engine (mackey.*) and the batch co-miner (comine.chunk). Lifting
+	// No sites restriction: rate faults must reach every engine site
+	// (mackey.*, which the batch co-miner runs on too). Lifting
 	// the old "sites=mackey" prefix leaves mackey-site decisions
 	// unchanged — the prefix only gates, it does not seed the hash.
 	plan, err := mint.ParseChaosPlan("seed=7,panic=0.05,error=0.50,delay=0.50,delaydur=2ms")

@@ -109,3 +109,22 @@ func TestRunCtlExpiredDeadline(t *testing.T) {
 		t.Fatalf("truncated=%v reason=%v, want DeadlineExceeded", res.Truncated, res.StopReason)
 	}
 }
+
+// TestRunQueueSeedingRace runs the queue runtime on many tiny graphs,
+// where workers can retire every seeded context while the seeder is still
+// claiming the last root. The queue must only close once seeding is done:
+// an early close made the seeder send on a closed channel and panic.
+func TestRunQueueSeedingRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		g := testutil.RandomGraph(rng, 4, 1+rng.Intn(6), 50)
+		m := temporal.M1(20)
+		res, err := RunQueueCtl(g, m, 2, 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Run(g, m, 1); res.Matches != want {
+			t.Fatalf("graph %d: queue counted %d, synchronous runtime %d", i, res.Matches, want)
+		}
+	}
+}

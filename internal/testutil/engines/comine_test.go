@@ -17,10 +17,10 @@ import (
 
 // The co-mining differential matrix: one co-mined run over a motif SET
 // must be bit-identical, per motif, to independent single-motif runs.
-// This is the equivalence the co-miner claims by construction (same
-// partial mappings, same scan cases, same δ predicates as the mackey
-// traversal, bookkeeping forked only at trie divergence points); these
-// tests are the claim's enforcement, run under -race by the CI matrix.
+// This is the equivalence the co-miner claims by construction (the
+// co-mined walk is the mackey worker itself over a shared-prefix trie,
+// bookkeeping forked only at trie divergence points); these tests are
+// the claim's enforcement, run under -race by the CI matrix.
 
 // comineAll co-mines the whole set and returns the per-motif counts in
 // input order.
@@ -226,7 +226,7 @@ func TestDifferentialComineRandomSets(t *testing.T) {
 
 // TestChaosComineSoundness adds the co-miner to the fault-injection
 // soundness matrix: under seeded mixed-kind fault plans firing at the
-// "comine.chunk" site, a batch run must either return an identified
+// "mackey.chunk" site every co-mined group runs through, a batch run must either return an identified
 // injected error or mark every affected motif Truncated with a reason
 // and a count bounded by the oracle. The batch's extra obligation over
 // the single-motif engines: soundness must hold for EVERY entry of the
@@ -234,7 +234,7 @@ func TestDifferentialComineRandomSets(t *testing.T) {
 func TestChaosComineSoundness(t *testing.T) {
 	g := testutil.RandomGraph(rand.New(rand.NewSource(7)), 24, 160, 4000)
 	set := []*temporal.Motif{
-		temporal.M1(600), temporal.M2(600), // one shared group: comine.chunk live
+		temporal.M1(600), temporal.M2(600), // one shared group: mackey.chunk live
 		temporal.M1(2000), // second group, hit only if the first survives
 	}
 	want := soloCounts(g, set)

@@ -62,12 +62,13 @@ func diffGraphs(t testing.TB, short bool) []diffGraph {
 
 // TestDifferentialEngines runs every registered engine over the full
 // (graph × motif × δ) matrix and requires each count to equal the
-// brute-force oracle's. This is the cross-engine guard for the hot-path
-// overhaul: the pooled/cached/partitioned implementations and their
-// Baseline twins must be indistinguishable by counts on every input. The
-// CI race job runs this test under -race, which additionally proves the
-// worker-local window caches and pooled contexts are free of data races at
-// 1, 4, and 8 workers.
+// brute-force oracle's. This is the cross-engine guard for the mining
+// executor: the pooled/cached/partitioned trie worker, the reference
+// implementations and every production entry point must be
+// indistinguishable by counts on every input. The CI race job runs this
+// test under -race, which additionally proves the worker-local window
+// caches and pooled contexts are free of data races at 1, 4, and 8
+// workers.
 func TestDifferentialEngines(t *testing.T) {
 	engines := Engines()
 	for _, dg := range diffGraphs(t, testing.Short()) {

@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 
+	"mint"
 	"mint/internal/comine"
 	"mint/internal/mackey"
-	"mint/internal/mint"
+	mintsim "mint/internal/mint"
 	"mint/internal/runctl"
 	"mint/internal/task"
 	"mint/internal/temporal"
@@ -20,10 +21,10 @@ import (
 // differential harness drives them all from one table and diffs the
 // results against the brute-force oracle.
 //
-// Engines through which the hot-path overhaul routes (pooled worker state,
-// window-cached searches, time-partitioned parallel chunking) sit next to
-// their pre-overhaul Baseline twins, so any divergence introduced by the
-// optimized path is caught by construction, not by luck.
+// Every production entry point of the root package sits in the table
+// too — enumeration, the supervised miner and the fallback ladder — so a
+// request path that diverges from the engines it wraps is caught by
+// construction, not by luck.
 type Engine struct {
 	// Name identifies the engine in test output, e.g. "mackey/parallel-4".
 	Name string
@@ -33,24 +34,39 @@ type Engine struct {
 }
 
 // Engines returns the full engine table. The list deliberately spans every
-// axis the hot-path overhaul touched: optimized vs Baseline sequential
-// miners, the window-cached iterative miner, memoized runs (which keep the
-// legacy scan path), the time-partitioned parallel miner at 1/4/8 workers,
-// the synchronous and queue-mediated task runtimes (pooled contexts,
-// worker-local caches), and the cycle-level simulator's functional counts.
+// axis of the engines: the sequential trie-walking miner, the
+// window-cached iterative miner, memoized runs (the memo table replaces
+// the window cache), the time-partitioned parallel miner at 1/4/8
+// workers, the co-miner on one-motif plans, the synchronous and
+// queue-mediated task runtimes (pooled contexts, worker-local caches),
+// the cycle-level simulator's functional counts, and the root package's
+// enumerate, supervised and fallback entry points.
 func Engines() []Engine {
 	engines := []Engine{
 		{Name: "mackey/reference", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
 			return mackey.Mine(g, m, mackey.Options{}).Matches, nil
 		}},
-		{Name: "mackey/reference-baseline", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
-			return mackey.Mine(g, m, mackey.Options{Baseline: true}).Matches, nil
-		}},
 		{Name: "mackey/algorithm1", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
 			return mackey.MineAlgorithm1(g, m, mackey.Options{}).Matches, nil
 		}},
-		{Name: "mackey/algorithm1-baseline", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
-			return mackey.MineAlgorithm1(g, m, mackey.Options{Baseline: true}).Matches, nil
+		{Name: "mint/enumerate", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
+			var visits int64
+			mint.EnumerateCtx(context.Background(), g, m, mint.Budget{}, func([]int32) { visits++ })
+			return visits, nil
+		}},
+		{Name: "mint/supervised-4", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
+			res, err := mint.CountSupervisedCtx(context.Background(), g, m, 4, mint.Budget{}, mint.SupervisorConfig{}, nil)
+			if err == nil && res.Truncated {
+				err = fmt.Errorf("supervised run truncated: %v", res.StopReason)
+			}
+			return res.Matches, err
+		}},
+		{Name: "mint/fallback", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
+			res, err := mint.CountWithFallback(context.Background(), g, m, mint.FallbackConfig{})
+			if err == nil && res.Engine != mint.EngineExact {
+				err = fmt.Errorf("unlimited fallback answered by engine %q, want %q", res.Engine, mint.EngineExact)
+			}
+			return res.ExactPartial, err
 		}},
 		{Name: "mackey/memo", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
 			return mackey.MineMemo(g, m, mackey.Options{}).Matches, nil
@@ -60,9 +76,9 @@ func Engines() []Engine {
 			return res.Matches, err
 		}},
 		{Name: "mint/sim", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
-			cfg := mint.DefaultConfig()
+			cfg := mintsim.DefaultConfig()
 			cfg.PEs = 8 // small array keeps the cycle-level run fast
-			res, err := mint.Simulate(g, m, cfg)
+			res, err := mintsim.Simulate(g, m, cfg)
 			return res.Matches, err
 		}},
 	}
@@ -81,9 +97,9 @@ func Engines() []Engine {
 		return mackey.MineParallelMemo(g, m, mackey.Options{Workers: 8}).Matches, nil
 	}})
 	// The co-miner as a single-motif engine: a one-motif plan exercises
-	// planning plus the singleton-devolution path end to end. Motif SETS
-	// get their own differential matrix (comine_test.go) because the
-	// Engine signature is per-motif.
+	// planning plus the canonical one-path trie walked by the mackey
+	// worker, end to end. Motif SETS get their own differential matrix
+	// (comine_test.go) because the Engine signature is per-motif.
 	for _, workers := range []int{1, 4} {
 		engines = append(engines, Engine{Name: fmt.Sprintf("comine/solo-%d", workers),
 			Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {

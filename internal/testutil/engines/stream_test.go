@@ -204,7 +204,7 @@ func TestDifferentialStreamingCounts(t *testing.T) {
 func TestStreamingStaleNeverWrong(t *testing.T) {
 	edges := testutil.RandomGraph(rand.New(rand.NewSource(17)), 10, 120, 1500).Edges
 	plan := faultinject.New(5, 0, 0, 0.35, 0, 0)
-	plan.RestrictSites("comine.")
+	plan.RestrictSites("mackey.chunk")
 	dir := t.TempDir()
 	s, _, err := mint.OpenStream(dir, mint.StreamOptions{Workers: 2, Chaos: plan})
 	if err != nil {
