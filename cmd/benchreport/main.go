@@ -16,7 +16,10 @@
 // and stream fold runs on) against MineAlgorithm1, the paper's Algorithm 1
 // kept as the fixed reference, for M1–M4 on a seeded sample graph from
 // the Table I dataset generator, and writes BENCH_hotpath.json with
-// ns/op, B/op, and allocs/op for both sides plus per-motif speedups. With
+// ns/op, B/op, and allocs/op for both sides plus per-motif speedups. The
+// two sides run in hotpathRounds interleaved rounds, and a speedup is the
+// median of the per-round ratios, so a noisy neighbour that slows one
+// round moves both sides of that round rather than one side's total. With
 // -check it instead compares a fresh measurement against the committed
 // BENCH_hotpath.json and exits non-zero when any motif's speedup
 // regressed by more than 10% — speedup ratios, not absolute ns/op, so the
@@ -37,6 +40,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -225,28 +229,21 @@ func measureHotpath(dataset string, scale float64) (hotpathReport, error) {
 	logSpeedup := 0.0
 	for _, m := range temporal.EvaluationMotifs(temporal.DeltaHour) {
 		var res mackey.Result
-		ref := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res = mackey.MineAlgorithm1(g, m, mackey.Options{})
-			}
-		})
-		exe := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res = mackey.Mine(g, m, mackey.Options{})
-			}
+		ref, exe := interleave(func() {
+			res = mackey.MineAlgorithm1(g, m, mackey.Options{})
+		}, func() {
+			res = mackey.Mine(g, m, mackey.Options{})
 		})
 		row := hotpathRow{
 			Motif:             m.Name,
 			Matches:           res.Matches,
-			ReferenceNsOp:     ref.NsPerOp(),
-			ExecutorNsOp:      exe.NsPerOp(),
-			Speedup:           float64(ref.NsPerOp()) / float64(exe.NsPerOp()),
-			ReferenceAllocsOp: ref.AllocsPerOp(),
-			ExecutorAllocsOp:  exe.AllocsPerOp(),
-			ReferenceBytesOp:  ref.AllocedBytesPerOp(),
-			ExecutorBytesOp:   exe.AllocedBytesPerOp(),
+			ReferenceNsOp:     ref.ns,
+			ExecutorNsOp:      exe.ns,
+			Speedup:           ref.ratio,
+			ReferenceAllocsOp: ref.allocs,
+			ExecutorAllocsOp:  exe.allocs,
+			ReferenceBytesOp:  ref.bytes,
+			ExecutorBytesOp:   exe.bytes,
 		}
 		logSpeedup += math.Log(row.Speedup)
 		rep.Rows = append(rep.Rows, row)
@@ -283,27 +280,65 @@ func measureComine(g *temporal.Graph) (comineRow, error) {
 	for _, m := range motifs {
 		row.Motifs = append(row.Motifs, m.Name)
 	}
-	seq := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, m := range motifs {
-				mackey.Mine(g, m, mackey.Options{})
-			}
+	var mineErr error
+	seq, co := interleave(func() {
+		for _, m := range motifs {
+			mackey.Mine(g, m, mackey.Options{})
+		}
+	}, func() {
+		if _, err := comine.MineCtx(context.Background(), g, plan,
+			comine.Options{Workers: 1}, runctl.Budget{}); err != nil {
+			mineErr = err
 		}
 	})
-	co := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := comine.MineCtx(context.Background(), g, plan,
-				comine.Options{Workers: 1}, runctl.Budget{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	row.SequentialNsOp = seq.NsPerOp()
-	row.ComineNsOp = co.NsPerOp()
-	row.Speedup = float64(seq.NsPerOp()) / float64(co.NsPerOp())
+	if mineErr != nil {
+		return comineRow{}, mineErr
+	}
+	row.SequentialNsOp = seq.ns
+	row.ComineNsOp = co.ns
+	row.Speedup = seq.ratio
 	fmt.Printf("comine %v: sequential %10d ns/op   co-mined %10d ns/op   speedup %.2fx   (%d groups, %d fork points, shared ratio %.2f)\n",
 		row.Motifs, row.SequentialNsOp, row.ComineNsOp, row.Speedup, row.Groups, row.ForkPoints, row.SharedRatio)
 	return row, nil
+}
+
+// hotpathRounds is how many interleaved rounds interleave runs.
+const hotpathRounds = 5
+
+// sideResult is one side of an interleaved A/B measurement: the median
+// round's ns/op, the worst round's allocs/op and B/op, and (on the A
+// side) the median over rounds of A's ns/op divided by B's.
+type sideResult struct {
+	ns, allocs, bytes int64
+	ratio             float64
+}
+
+// interleave benchmarks a and b in hotpathRounds rounds, a then b in each.
+func interleave(a, b func()) (ra, rb sideResult) {
+	bench := func(f func()) testing.BenchmarkResult {
+		return testing.Benchmark(func(tb *testing.B) {
+			tb.ReportAllocs()
+			for i := 0; i < tb.N; i++ {
+				f()
+			}
+		})
+	}
+	var aNs, bNs, ratios []float64
+	for r := 0; r < hotpathRounds; r++ {
+		x, y := bench(a), bench(b)
+		aNs = append(aNs, float64(x.NsPerOp()))
+		bNs = append(bNs, float64(y.NsPerOp()))
+		ratios = append(ratios, float64(x.NsPerOp())/float64(y.NsPerOp()))
+		ra.allocs, ra.bytes = max(ra.allocs, x.AllocsPerOp()), max(ra.bytes, x.AllocedBytesPerOp())
+		rb.allocs, rb.bytes = max(rb.allocs, y.AllocsPerOp()), max(rb.bytes, y.AllocedBytesPerOp())
+	}
+	ra.ns, rb.ns, ra.ratio = int64(median(aNs)), int64(median(bNs)), median(ratios)
+	return ra, rb
+}
+
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 func runHotpath(out, dataset string, scale float64, check bool) error {

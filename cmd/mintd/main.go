@@ -294,6 +294,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Subscribe to the drain signal before announcing the address: a
+	// client may signal as soon as it sees the server serving.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	httpSrv := &http.Server{Handler: mux}
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -313,8 +317,6 @@ func main() {
 	}
 
 	// Wait for the drain signal.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	sig := <-sigCh
 	fmt.Printf("mintd: %s received, draining (grace %v)\n", sig, *drainTimeout)
 

@@ -40,9 +40,10 @@ type Snapshot struct {
 	// Cutoff != 0 for those.)
 	Cutoff    temporal.Timestamp `json:"cutoff"`
 	HasCutoff bool               `json:"has_cutoff,omitempty"`
-	// Edges is the live edge set in append order (NOT time-sorted; graph
-	// construction sorts stably, so append order is the tie-break and
-	// must be preserved for bit-identical rebuilds).
+	// Edges is the live edge set. mint.Stream writes it in graph order
+	// (time-sorted, ties in append order); older writers stored append
+	// order. A stable sort by time maps either to the same graph, so
+	// loaders sort and the tie order must be preserved.
 	Edges []temporal.Edge `json:"edges"`
 	// Clients is the idempotency ledger: last applied clientSeq per id.
 	Clients map[string]uint64 `json:"clients,omitempty"`
@@ -66,9 +67,8 @@ type StandingSpec struct {
 }
 
 // EdgesFingerprint renders the identity of an edge sequence (order
-// matters — it is the tie-break for equal timestamps). The server's
-// registry uses the same value to detect that a live dataset moved under
-// a cached entry.
+// matters — it is the tie-break for equal timestamps). Snapshots carry
+// it as their content check.
 func EdgesFingerprint(edges []temporal.Edge) string {
 	ints := make([]int64, 0, 3*len(edges)+1)
 	ints = append(ints, int64(len(edges)))

@@ -153,9 +153,6 @@ type Config struct {
 	// breaker for BreakerCooldown (0s = threshold 5, cooldown 3s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// OnApply, when non-nil, runs after every applied batch (the server
-	// hooks registry invalidation here).
-	OnApply func()
 	// Obs receives replica.* instruments (nil-safe).
 	Obs *obs.Registry
 	// Logf, when non-nil, receives loud one-line progress/terminal logs.
@@ -389,9 +386,6 @@ func (f *Follower) pullOnce(ctx context.Context) (bool, error) {
 	}
 	if applied > 0 {
 		f.cfg.Obs.Counter("replica.applied_records").Add(int64(applied))
-		if f.cfg.OnApply != nil {
-			f.cfg.OnApply()
-		}
 	}
 
 	cur := f.cfg.Stream.Info()
@@ -452,9 +446,6 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 			err: fmt.Errorf("replica: installing snapshot from %s: %w", f.cfg.Source, err)}
 	}
 	f.cfg.Obs.Counter("replica.snapshot_bootstraps").Add(1)
-	if f.cfg.OnApply != nil {
-		f.cfg.OnApply()
-	}
 	return nil
 }
 

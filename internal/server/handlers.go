@@ -273,7 +273,8 @@ func motifFor(label, name, spec string, delta mint.Timestamp) (*mint.Motif, erro
 }
 
 // checkout pins a dataset in the registry under a registry.checkout
-// span (eviction cannot race the caller; defer the release). It writes
+// span (eviction cannot race the caller; defer the release); the live
+// dataset resolves to the stream's current graph instead. It writes
 // its own errors: 400 for a missing or unknown dataset, 503 for
 // environment failures.
 func (s *Server) checkout(w http.ResponseWriter, ctx context.Context, dataset string) (*mint.Graph, func(), bool) {
@@ -284,7 +285,11 @@ func (s *Server) checkout(w http.ResponseWriter, ctx context.Context, dataset st
 	rt := obs.ReqTraceFrom(ctx)
 	sp := rt.Begin("registry.checkout", rt.RootID())
 	sp.Set("dataset", dataset)
-	g, release, err := s.data.Checkout(ctx, dataset)
+	g, live, err := s.liveGraph(dataset)
+	release := func() {}
+	if !live {
+		g, release, err = s.data.Checkout(ctx, dataset)
+	}
 	sp.End()
 	if err != nil {
 		if errors.Is(err, ErrUnknownDataset) {

@@ -4,14 +4,13 @@ package server
 // WAL (internal/edgelog via mint.Stream). One dataset name is mutable —
 // POST /v1/edges appends batches durably (WAL ack before graph
 // visibility), standing queries fold each batch incrementally, and the
-// ordinary mining endpoints resolve the live name to the current
-// replayed graph through the registry. Startup replay happens off the
+// ordinary mining endpoints resolve the live name to the stream's
+// current graph (see liveGraph). Startup replay happens off the
 // request path: until it lands, /readyz reports "replaying" and every
 // live-dataset request answers 503 — a restarting server never serves
 // a partially rebuilt graph.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -21,7 +20,6 @@ import (
 	"mint"
 	"mint/internal/edgelog"
 	"mint/internal/obs"
-	"mint/internal/server/registry"
 )
 
 // ErrReplaying is returned by live-dataset paths while startup replay
@@ -187,40 +185,20 @@ func (s *Server) IngestRecovery() (mint.StreamRecovery, error) {
 	return s.liveRec, s.liveErr
 }
 
-// liveLoader wraps the static dataset loader so the live name resolves
-// to the current stream graph. Every accepted append invalidates the
-// registry entry, so a load here always sees the newest graph; the
-// registry's Validate hook (validateLive) is the stale-read guard for
-// any entry that survives an append anyway.
-func (s *Server) liveLoader(base registry.Loader) registry.Loader {
-	return func(ctx context.Context, name string) (*mint.Graph, error) {
-		if name == s.cfg.Ingest.Name() {
-			st, err := s.liveStream()
-			if err != nil {
-				return nil, err
-			}
-			return st.Graph()
-		}
-		return base(ctx, name)
-	}
-}
-
-// validateLive is the registry's stale-read guard: a cached entry for
-// the live dataset is only served if it still IS the stream's current
-// graph. Static datasets are immutable and always pass. Requests that
-// already checked the graph out keep their snapshot — counts against a
-// consistent past graph are correct; serving it to NEW requests after
-// the dataset moved would not be.
-func (s *Server) validateLive(name string, g *mint.Graph) bool {
+// liveGraph resolves the live dataset name to the stream's current
+// graph, bypassing the registry: every append yields a new immutable
+// graph, so there is nothing to cache and no stale entry to guard
+// against. A request keeps the graph it resolved for its whole run.
+func (s *Server) liveGraph(name string) (*mint.Graph, bool, error) {
 	if !s.cfg.Ingest.Enabled() || name != s.cfg.Ingest.Name() {
-		return true
+		return nil, false, nil
 	}
 	st, err := s.liveStream()
 	if err != nil {
-		return false
+		return nil, true, err
 	}
-	cur, err := st.Graph()
-	return err == nil && cur == g
+	g, err := st.Graph()
+	return g, true, err
 }
 
 // Wire shapes ------------------------------------------------------------
@@ -364,12 +342,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
 		return
 	}
-	if !res.Dup {
-		// The dataset moved: drop the cached graph so the next mining
-		// request loads the post-append graph.
-		s.data.Invalidate(s.cfg.Ingest.Name())
-	}
-	info := st.Info()
 	if res.Stale {
 		rt.Annotate("standing_stale", "true")
 	}
@@ -379,8 +351,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Accepted:    res.Accepted,
 		Evicted:     res.Evicted,
 		Stale:       res.Stale,
-		Edges:       info.Edges,
-		Fingerprint: info.Fingerprint,
+		Edges:       res.Edges,
+		Fingerprint: res.Fingerprint,
 		WallMS:      float64(time.Since(q.Start).Microseconds()) / 1000,
 		TraceID:     rt.TraceID(),
 	}

@@ -62,8 +62,8 @@ func ingestBatch(t *testing.T, url string, clientSeq uint64, edges []mint.Edge) 
 // TestIngestEndToEnd is the live-dataset differential: append batches
 // over HTTP, and after every batch /v1/count on the live dataset must
 // equal an in-process cold mine of exactly the edges appended so far —
-// the registry invalidation (plus the Validate stale-read guard) means
-// no count is ever served off a pre-append cached graph.
+// the live name resolves to the stream's current graph on every
+// checkout, so no count is ever served off a pre-append graph.
 func TestIngestEndToEnd(t *testing.T) {
 	_, ts := newIngestServer(t, t.TempDir(), nil)
 	all := testutil.RandomGraph(rand.New(rand.NewSource(11)), 16, 300, 2000).Edges

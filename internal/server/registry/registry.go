@@ -48,16 +48,6 @@ type Options struct {
 	BackoffCap  time.Duration
 	// Obs receives registry counters and gauges (may be nil).
 	Obs *obs.Registry
-	// Validate, when non-nil, is the stale-read guard for mutable
-	// datasets: it is consulted on every cache hit, and a false verdict
-	// drops the entry and reloads through the Loader instead of serving
-	// the cached graph. Immutable datasets should return true
-	// unconditionally (the default when Validate is nil). Checkouts that
-	// are already pinned keep their graph — a pin is a consistent
-	// snapshot, not a subscription — the guard only prevents NEW
-	// checkouts from seeing a graph the underlying dataset has moved
-	// past.
-	Validate func(name string, g *temporal.Graph) bool
 }
 
 func (o Options) normalized() Options {
@@ -114,19 +104,18 @@ func New(opts Options) *Registry {
 }
 
 // GraphBytes estimates the resident size of a loaded graph: the edge
-// array plus the per-node in/out adjacency index lists and their slice
-// headers. It deliberately overestimates slightly (allocator slack)
-// rather than under — the watermark is a protection limit.
+// array, the out/in edge-index arrays and the two per-node offset tables
+// of its CSR adjacency.
 func GraphBytes(g *temporal.Graph) int64 {
 	if g == nil {
 		return 0
 	}
 	const edgeSize = 16 // Src, Dst int32 + Time int64
-	const sliceHeader = 24
 	e := int64(g.NumEdges())
 	n := int64(g.NumNodes())
-	// Every edge appears once in an out-list and once in an in-list.
-	return e*edgeSize + 2*e*4 + 2*n*sliceHeader
+	// Every edge appears once in the out-index and once in the in-index
+	// array; each offset table holds n+1 int32s.
+	return e*edgeSize + 2*e*4 + 2*(n+1)*4
 }
 
 // Get returns the graph for name, loading it (once) if necessary.
@@ -187,16 +176,6 @@ func (r *Registry) get(ctx context.Context, name string) (*temporal.Graph, *entr
 				// Landed: either a cached success or a failure not yet
 				// removed by its flight owner.
 				if e.err == nil {
-					if r.opts.Validate != nil && !r.opts.Validate(name, e.g) {
-						// The dataset moved under the cache (a live stream
-						// accepted an append). Drop the entry and fall
-						// through to a fresh load; pinned checkouts keep
-						// their (immutable) snapshot safely.
-						r.dropLocked(e)
-						r.mu.Unlock()
-						o.Counter("registry.stale_dropped").Add(1)
-						continue
-					}
 					r.useSeq++
 					e.lastUse = r.useSeq
 					r.mu.Unlock()
@@ -320,38 +299,6 @@ func (r *Registry) evictLocked(keep *entry) {
 		r.opts.Obs.Gauge("registry.entries").Set(int64(len(r.entries)))
 		r.opts.Obs.Gauge("registry.bytes").Set(r.bytes)
 	}
-}
-
-// dropLocked removes a landed entry from the cache, settling the
-// resident-bytes estimate and gauges. Holders of the graph pointer are
-// unaffected (graphs are immutable); the next Get loads fresh.
-func (r *Registry) dropLocked(e *entry) {
-	if cur, ok := r.entries[e.name]; !ok || cur != e {
-		return
-	}
-	delete(r.entries, e.name)
-	r.bytes -= e.bytes
-	r.opts.Obs.Gauge("registry.entries").Set(int64(len(r.entries)))
-	r.opts.Obs.Gauge("registry.bytes").Set(r.bytes)
-}
-
-// Invalidate removes name from the cache if its load has landed, so the
-// next Get reloads through the Loader. It reports whether an entry was
-// dropped. An in-flight load is left alone — its flight owner still
-// needs the entry to publish into, and the data it is loading is as
-// fresh as a reload would be. Mutable-dataset serving (the live ingest
-// stream) calls this on every accepted append; the Options.Validate
-// hook is the belt to this suspender for entries that slip through.
-func (r *Registry) Invalidate(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[name]
-	if !ok || !landed(e) {
-		return false
-	}
-	r.dropLocked(e)
-	r.opts.Obs.Counter("registry.invalidated").Add(1)
-	return true
 }
 
 func landed(e *entry) bool {

@@ -313,97 +313,3 @@ func TestCheckoutConcurrentMiningUnderPressure(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestInvalidate: dropping a landed entry forces the next Get through
-// the loader, and the resident-bytes estimate is settled.
-func TestInvalidate(t *testing.T) {
-	var loads atomic.Int64
-	reg := New(Options{Loader: func(ctx context.Context, name string) (*temporal.Graph, error) {
-		loads.Add(1)
-		return testGraph(loads.Load(), 100), nil
-	}})
-	g1, err := reg.Get(context.Background(), "live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2, _ := reg.Get(context.Background(), "live"); g2 != g1 {
-		t.Fatal("second Get before invalidation must hit the cache")
-	}
-	if loads.Load() != 1 {
-		t.Fatalf("loads = %d, want 1", loads.Load())
-	}
-	if !reg.Invalidate("live") {
-		t.Fatal("Invalidate of a landed entry must report true")
-	}
-	if reg.Invalidate("live") {
-		t.Fatal("Invalidate of a missing entry must report false")
-	}
-	if reg.Bytes() != 0 {
-		t.Fatalf("resident bytes after invalidation = %d, want 0", reg.Bytes())
-	}
-	g3, err := reg.Get(context.Background(), "live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3 == g1 {
-		t.Fatal("Get after Invalidate returned the dropped graph")
-	}
-	if loads.Load() != 2 {
-		t.Fatalf("loads = %d, want 2 after invalidation", loads.Load())
-	}
-}
-
-// TestValidateHookDropsStaleEntries: the stale-read guard. A mutable
-// dataset whose fingerprint moved under the cache must never be served
-// from the stale entry — the hit path consults Validate and reloads on
-// a false verdict. Pinned checkouts keep their snapshot.
-func TestValidateHookDropsStaleEntries(t *testing.T) {
-	var version atomic.Int64
-	version.Store(1)
-	graphs := map[int64]*temporal.Graph{}
-	var mu sync.Mutex
-	loader := func(ctx context.Context, name string) (*temporal.Graph, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		v := version.Load()
-		if graphs[v] == nil {
-			graphs[v] = testGraph(v, 50+int(v))
-		}
-		return graphs[v], nil
-	}
-	current := func(g *temporal.Graph) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return g == graphs[version.Load()]
-	}
-	reg := New(Options{
-		Loader:   loader,
-		Validate: func(name string, g *temporal.Graph) bool { return current(g) },
-	})
-
-	g1, release, err := reg.Checkout(context.Background(), "live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dataset moves while g1 is still pinned.
-	version.Store(2)
-	g2, err := reg.Get(context.Background(), "live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2 == g1 {
-		t.Fatal("cache served the stale graph after the dataset moved")
-	}
-	if !current(g2) {
-		t.Fatal("reload did not produce the current graph")
-	}
-	// The pinned checkout still holds its consistent (old) snapshot.
-	if g1 == nil || g1 == g2 {
-		t.Fatal("pinned snapshot must be the old graph")
-	}
-	release()
-	// Stable dataset: the hook passes and the cache hit survives.
-	if g3, _ := reg.Get(context.Background(), "live"); g3 != g2 {
-		t.Fatal("Validate=true hit must serve the cached graph")
-	}
-}

@@ -44,7 +44,6 @@ func (s *Server) startFollower(st *mint.Stream) {
 		Dataset: s.cfg.Ingest.Name(),
 		Stream:  st,
 		Obs:     s.obs,
-		OnApply: func() { s.data.Invalidate(s.cfg.Ingest.Name()) },
 	})
 	if err != nil {
 		s.liveMu.Lock()
@@ -299,7 +298,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.replMu.Lock()
 	s.promoted = true
 	s.replMu.Unlock()
-	s.data.Invalidate(s.cfg.Ingest.Name())
 	s.obs.Counter("server.promotions").Add(1)
 	WriteJSON(w, http.StatusOK, PromoteResponse{
 		Status: "promoted", Dataset: s.cfg.Ingest.Name(), Epoch: epoch + 1,

@@ -179,14 +179,10 @@ func New(cfg Config) *Server {
 			TraceCapacity: cfg.TraceCapacity,
 		}),
 	}
-	if cfg.Ingest.Enabled() {
-		loader = s.liveLoader(loader)
-	}
 	s.data = registry.New(registry.Options{
 		Loader:   loader,
 		MaxBytes: cfg.RegistryMaxBytes,
 		Obs:      cfg.Obs,
-		Validate: s.validateLive,
 	})
 	s.routes()
 	if cfg.Ingest.Enabled() {

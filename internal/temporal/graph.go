@@ -12,8 +12,10 @@
 package temporal
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -42,15 +44,19 @@ type Edge struct {
 	Time Timestamp
 }
 
-// Graph is an immutable temporal graph.
+// Graph is an immutable temporal graph in the paper's §II-D layout.
 //
-// Edges is sorted by (Time, original order). Out[u] lists the indices of
-// edges with Src == u, ascending; In[v] lists the indices of edges with
-// Dst == v, ascending. Construct with NewGraph.
+// Edges is sorted by (Time, original order). The per-node adjacency is a
+// flat CSR: the indices of the edges leaving u are out[outOff[u]:outOff[u+1]],
+// ascending, and the indices of the edges entering v are
+// in[inOff[v]:inOff[v+1]], ascending. Both offset arrays have NumNodes()+1
+// entries. Read the adjacency through OutEdges and InEdges. Construct with
+// NewGraph, or with FromSorted when the edges are already in time order.
 type Graph struct {
 	Edges []Edge
-	Out   [][]EdgeID
-	In    [][]EdgeID
+
+	outOff, inOff []int32
+	out, in       []EdgeID
 
 	numNodes int
 }
@@ -60,44 +66,65 @@ type Graph struct {
 // IDs must be non-negative; the node count is 1 + the maximum node ID seen
 // (isolated smaller IDs simply have empty adjacency).
 func NewGraph(edges []Edge) (*Graph, error) {
+	for i, e := range edges {
+		if e.Src < 0 || e.Dst < 0 {
+			return nil, fmt.Errorf("temporal: edge %d has negative node id (%d->%d)", i, e.Src, e.Dst)
+		}
+	}
+	sorted := make([]Edge, len(edges))
+	copy(sorted, edges)
+	slices.SortStableFunc(sorted, func(a, b Edge) int { return cmp.Compare(a.Time, b.Time) })
+	return FromSorted(sorted)
+}
+
+// FromSorted builds a Graph that adopts edges as its edge list: no copy,
+// no sort. edges must already be in time order (non-decreasing Time) with
+// non-negative node IDs; one pass checks both. The graph keeps
+// edges[:len(edges):len(edges)], so the caller may go on appending to its
+// own slice, but must never write the elements the graph now holds.
+func FromSorted(edges []Edge) (*Graph, error) {
+	if len(edges) > math.MaxInt32 {
+		return nil, fmt.Errorf("temporal: %d edges exceed the int32 edge-id space", len(edges))
+	}
 	maxNode := NodeID(-1)
 	for i, e := range edges {
 		if e.Src < 0 || e.Dst < 0 {
 			return nil, fmt.Errorf("temporal: edge %d has negative node id (%d->%d)", i, e.Src, e.Dst)
 		}
-		if e.Src > maxNode {
-			maxNode = e.Src
+		if i > 0 && e.Time < edges[i-1].Time {
+			return nil, fmt.Errorf("temporal: edges out of time order at %d", i)
 		}
-		if e.Dst > maxNode {
-			maxNode = e.Dst
-		}
+		maxNode = max(maxNode, e.Src, e.Dst)
 	}
-	sorted := make([]Edge, len(edges))
-	copy(sorted, edges)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
-
 	n := int(maxNode) + 1
-	g := &Graph{Edges: sorted, numNodes: n}
-	outDeg := make([]int32, n)
-	inDeg := make([]int32, n)
-	for _, e := range sorted {
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
+	g := &Graph{
+		Edges:    edges[:len(edges):len(edges)],
+		outOff:   make([]int32, n+1),
+		inOff:    make([]int32, n+1),
+		out:      make([]EdgeID, len(edges)),
+		in:       make([]EdgeID, len(edges)),
+		numNodes: n,
 	}
-	g.Out = make([][]EdgeID, n)
-	g.In = make([][]EdgeID, n)
-	for u := 0; u < n; u++ {
-		if outDeg[u] > 0 {
-			g.Out[u] = make([]EdgeID, 0, outDeg[u])
-		}
-		if inDeg[u] > 0 {
-			g.In[u] = make([]EdgeID, 0, inDeg[u])
-		}
+	// Counting sort: degrees into off[u+1], prefix sums make off[u] the
+	// start of u's run, the fill advances off[u] to the end of u's run
+	// (the start of u+1's), and one shift restores the starts.
+	for _, e := range edges {
+		g.outOff[int(e.Src)+1]++
+		g.inOff[int(e.Dst)+1]++
 	}
-	for i, e := range sorted {
-		g.Out[e.Src] = append(g.Out[e.Src], EdgeID(i))
-		g.In[e.Dst] = append(g.In[e.Dst], EdgeID(i))
+	for u := 1; u <= n; u++ {
+		g.outOff[u] += g.outOff[u-1]
+		g.inOff[u] += g.inOff[u-1]
 	}
+	for i, e := range edges {
+		g.out[g.outOff[e.Src]] = EdgeID(i)
+		g.outOff[e.Src]++
+		g.in[g.inOff[e.Dst]] = EdgeID(i)
+		g.inOff[e.Dst]++
+	}
+	copy(g.outOff[1:], g.outOff[:n])
+	copy(g.inOff[1:], g.inOff[:n])
+	g.outOff[0], g.inOff[0] = 0, 0
 	return g, nil
 }
 
@@ -124,12 +151,20 @@ func (g *Graph) Edge(id EdgeID) Edge { return g.Edges[id] }
 func (g *Graph) Time(id EdgeID) Timestamp { return g.Edges[id].Time }
 
 // OutEdges returns the (time-ordered) indices of edges leaving u.
-// The returned slice is owned by the graph and must not be modified.
-func (g *Graph) OutEdges(u NodeID) []EdgeID { return g.Out[u] }
+// The returned slice is owned by the graph and must not be modified; its
+// capacity ends at its length, so an append cannot reach the next node's.
+func (g *Graph) OutEdges(u NodeID) []EdgeID {
+	lo, hi := g.outOff[u], g.outOff[u+1]
+	return g.out[lo:hi:hi]
+}
 
 // InEdges returns the (time-ordered) indices of edges entering v.
-// The returned slice is owned by the graph and must not be modified.
-func (g *Graph) InEdges(v NodeID) []EdgeID { return g.In[v] }
+// The returned slice is owned by the graph and must not be modified; its
+// capacity ends at its length, so an append cannot reach the next node's.
+func (g *Graph) InEdges(v NodeID) []EdgeID {
+	lo, hi := g.inOff[v], g.inOff[v+1]
+	return g.in[lo:hi:hi]
+}
 
 // TimeSpan returns the difference between the last and first timestamps,
 // or zero for graphs with fewer than two edges.
@@ -197,18 +232,19 @@ type DegreeStats struct {
 }
 
 // OutDegreeStats computes DegreeStats over per-node out-neighborhood sizes.
-func (g *Graph) OutDegreeStats() DegreeStats { return degreeStats(g.Out) }
+func (g *Graph) OutDegreeStats() DegreeStats { return degreeStats(g.outOff) }
 
 // InDegreeStats computes DegreeStats over per-node in-neighborhood sizes.
-func (g *Graph) InDegreeStats() DegreeStats { return degreeStats(g.In) }
+func (g *Graph) InDegreeStats() DegreeStats { return degreeStats(g.inOff) }
 
-func degreeStats(adj [][]EdgeID) DegreeStats {
-	degs := make([]int, 0, len(adj))
+// degreeStats summarizes the run lengths of a CSR offset array.
+func degreeStats(off []int32) DegreeStats {
+	degs := make([]int, 0, len(off))
 	total := 0
-	for _, l := range adj {
-		if len(l) > 0 {
-			degs = append(degs, len(l))
-			total += len(l)
+	for u := 1; u < len(off); u++ {
+		if d := int(off[u] - off[u-1]); d > 0 {
+			degs = append(degs, d)
+			total += d
 		}
 	}
 	if len(degs) == 0 {
@@ -243,19 +279,20 @@ func (g *Graph) EdgesPerDelta(delta Timestamp) float64 {
 }
 
 // Validate checks internal invariants: endpoint IDs within the node
-// range, adjacency tables sized to the node count, edges sorted by time,
-// and adjacency lists in-range, consistent, and index-sorted. It is used
-// by property tests and runs after every loader (ReadSNAP), so a
-// corrupted or hand-built graph fails loudly here instead of as an
-// index panic — or a silent wrong count — deep inside a miner.
+// range, offset tables sized to the node count and monotone over the
+// index arrays, edges sorted by time, and adjacency lists in-range,
+// consistent, and index-sorted. It is used by property tests and runs
+// after every loader (ReadSNAP), so a corrupted or hand-built graph fails
+// loudly here instead of as an index panic — or a silent wrong count —
+// deep inside a miner.
 func (g *Graph) Validate() error {
 	n := g.numNodes
 	if n < 0 {
 		return fmt.Errorf("temporal: negative node count %d", n)
 	}
-	if len(g.Out) != n || len(g.In) != n {
-		return fmt.Errorf("temporal: adjacency tables sized %d/%d for %d nodes",
-			len(g.Out), len(g.In), n)
+	if len(g.outOff) != n+1 || len(g.inOff) != n+1 {
+		return fmt.Errorf("temporal: offset tables sized %d/%d for %d nodes",
+			len(g.outOff), len(g.inOff), n)
 	}
 	for i := range g.Edges {
 		e := &g.Edges[i]
@@ -267,41 +304,39 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("temporal: edges out of time order at %d", i)
 		}
 	}
-	seenOut := 0
-	for u, l := range g.Out {
+	if err := g.validateAdj("out", g.outOff, g.out, func(e Edge) NodeID { return e.Src }); err != nil {
+		return err
+	}
+	return g.validateAdj("in", g.inOff, g.in, func(e Edge) NodeID { return e.Dst })
+}
+
+// validateAdj checks one direction's CSR: offsets start at 0, never
+// decrease and end at the index array's length, which covers the edge
+// list exactly; every node's run is strictly increasing, in range and
+// holds only edges whose endpoint (end) is that node.
+func (g *Graph) validateAdj(dir string, off []int32, idx []EdgeID, end func(Edge) NodeID) error {
+	if off[0] != 0 || int(off[len(off)-1]) != len(idx) {
+		return fmt.Errorf("temporal: %s offsets span [%d,%d), index array holds %d", dir, off[0], off[len(off)-1], len(idx))
+	}
+	if len(idx) != len(g.Edges) {
+		return fmt.Errorf("temporal: %s lists do not cover edge list", dir)
+	}
+	for u := 0; u < g.numNodes; u++ {
+		if off[u+1] < off[u] || int(off[u+1]) > len(idx) {
+			return fmt.Errorf("temporal: %s offsets of node %d out of order", dir, u)
+		}
+		l := idx[off[u]:off[u+1]]
 		for i, id := range l {
 			if id < 0 || int(id) >= len(g.Edges) {
-				return fmt.Errorf("temporal: out list of node %d has edge id %d outside [0,%d)", u, id, len(g.Edges))
+				return fmt.Errorf("temporal: %s list of node %d has edge id %d outside [0,%d)", dir, u, id, len(g.Edges))
 			}
 			if i > 0 && l[i-1] >= id {
-				return fmt.Errorf("temporal: out list of node %d not strictly increasing", u)
+				return fmt.Errorf("temporal: %s list of node %d not strictly increasing", dir, u)
 			}
-			if g.Edges[id].Src != NodeID(u) {
-				return fmt.Errorf("temporal: out list of node %d contains foreign edge %d", u, id)
+			if end(g.Edges[id]) != NodeID(u) {
+				return fmt.Errorf("temporal: %s list of node %d contains foreign edge %d", dir, u, id)
 			}
-			seenOut++
 		}
-	}
-	if seenOut != len(g.Edges) {
-		return errors.New("temporal: out lists do not cover edge list")
-	}
-	seenIn := 0
-	for v, l := range g.In {
-		for i, id := range l {
-			if id < 0 || int(id) >= len(g.Edges) {
-				return fmt.Errorf("temporal: in list of node %d has edge id %d outside [0,%d)", v, id, len(g.Edges))
-			}
-			if i > 0 && l[i-1] >= id {
-				return fmt.Errorf("temporal: in list of node %d not strictly increasing", v)
-			}
-			if g.Edges[id].Dst != NodeID(v) {
-				return fmt.Errorf("temporal: in list of node %d contains foreign edge %d", v, id)
-			}
-			seenIn++
-		}
-	}
-	if seenIn != len(g.Edges) {
-		return errors.New("temporal: in lists do not cover edge list")
 	}
 	return nil
 }

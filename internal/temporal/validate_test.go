@@ -8,17 +8,14 @@ import (
 
 // cloneGraph deep-copies g so a corruption never leaks between subtests.
 func cloneGraph(g *Graph) *Graph {
-	c := &Graph{numNodes: g.numNodes}
-	c.Edges = append([]Edge(nil), g.Edges...)
-	c.Out = make([][]EdgeID, len(g.Out))
-	for i, l := range g.Out {
-		c.Out[i] = append([]EdgeID(nil), l...)
+	return &Graph{
+		Edges:    append([]Edge(nil), g.Edges...),
+		outOff:   append([]int32(nil), g.outOff...),
+		inOff:    append([]int32(nil), g.inOff...),
+		out:      append([]EdgeID(nil), g.out...),
+		in:       append([]EdgeID(nil), g.in...),
+		numNodes: g.numNodes,
 	}
-	c.In = make([][]EdgeID, len(g.In))
-	for i, l := range g.In {
-		c.In[i] = append([]EdgeID(nil), l...)
-	}
-	return c
 }
 
 // validateCorruptions is the invariant-by-invariant corruption table:
@@ -33,23 +30,23 @@ var validateCorruptions = []struct {
 	}},
 	{"src out of range", func(g *Graph) { g.Edges[1].Src = NodeID(g.numNodes) }},
 	{"dst negative", func(g *Graph) { g.Edges[1].Dst = -1 }},
-	{"out table truncated", func(g *Graph) { g.Out = g.Out[:len(g.Out)-1] }},
-	{"in table oversized", func(g *Graph) { g.In = append(g.In, nil) }},
+	{"out table truncated", func(g *Graph) { g.outOff = g.outOff[:len(g.outOff)-1] }},
+	{"in table oversized", func(g *Graph) { g.inOff = append(g.inOff, g.inOff[len(g.inOff)-1]) }},
 	{"out id out of range", func(g *Graph) {
-		l := firstNonEmpty(g.Out)
+		l := g.OutEdges(firstNonEmpty(g.outOff))
 		l[0] = EdgeID(len(g.Edges))
 	}},
 	{"out id negative", func(g *Graph) {
-		l := firstNonEmpty(g.Out)
+		l := g.OutEdges(firstNonEmpty(g.outOff))
 		l[0] = -1
 	}},
 	{"in id out of range", func(g *Graph) {
-		l := firstNonEmpty(g.In)
+		l := g.InEdges(firstNonEmpty(g.inOff))
 		l[len(l)-1] = EdgeID(len(g.Edges) + 3)
 	}},
 	{"out list not increasing", func(g *Graph) {
-		for _, l := range g.Out {
-			if len(l) >= 2 {
+		for u := 0; u < g.numNodes; u++ {
+			if l := g.OutEdges(NodeID(u)); len(l) >= 2 {
 				l[1] = l[0]
 				return
 			}
@@ -57,39 +54,32 @@ var validateCorruptions = []struct {
 		panic("test graph has no out list with 2 entries")
 	}},
 	{"out list foreign edge", func(g *Graph) {
-		// Move one edge id to a node that is not its source.
-		for u, l := range g.Out {
-			if len(l) == 0 {
-				continue
+		// Move node u's last out edge to the front of node u+1's list,
+		// which is not its source.
+		for u := 0; u+1 < g.numNodes; u++ {
+			if len(g.OutEdges(NodeID(u))) > 0 {
+				g.outOff[u+1]--
+				return
 			}
-			id := l[0]
-			v := (u + 1) % len(g.Out)
-			if g.Edges[id].Src == NodeID(v) {
-				continue
-			}
-			g.Out[u] = l[1:]
-			g.Out[v] = append([]EdgeID{id}, g.Out[v]...)
-			return
 		}
 		panic("test graph has no movable out edge")
 	}},
 	{"in list dropped entry", func(g *Graph) {
-		l := firstNonEmpty(g.In)
-		copy(l, l[1:])
-		for i := range g.In {
-			if len(g.In[i]) > 0 && &g.In[i][0] == &l[0] {
-				g.In[i] = g.In[i][:len(g.In[i])-1]
-				return
-			}
+		v := firstNonEmpty(g.inOff)
+		lo := g.inOff[v]
+		g.in = append(g.in[:lo], g.in[lo+1:]...)
+		for w := int(v) + 1; w < len(g.inOff); w++ {
+			g.inOff[w]--
 		}
-		panic("in list not found")
 	}},
 }
 
-func firstNonEmpty(lists [][]EdgeID) []EdgeID {
-	for _, l := range lists {
-		if len(l) > 0 {
-			return l
+// firstNonEmpty returns the first node with a non-empty run in a CSR
+// offset table.
+func firstNonEmpty(off []int32) NodeID {
+	for u := 1; u < len(off); u++ {
+		if off[u] > off[u-1] {
+			return NodeID(u - 1)
 		}
 	}
 	panic("test graph has no non-empty list")

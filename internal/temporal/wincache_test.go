@@ -130,18 +130,18 @@ func TestWindowCacheGraphSwap(t *testing.T) {
 
 	c := GetWindowCacheFor(ga)
 	for u := NodeID(0); int(u) < ga.NumNodes(); u++ {
-		c.SearchAfter(ga.Out[u], true, u, 0)
-		c.SearchAfter(ga.In[u], false, u, 1)
+		c.SearchAfter(ga.OutEdges(u), true, u, 0)
+		c.SearchAfter(ga.InEdges(u), false, u, 1)
 	}
 	PutWindowCache(c)
 
 	c2 := GetWindowCacheFor(gb)
 	for u := NodeID(0); int(u) < gb.NumNodes(); u++ {
 		for _, after := range []EdgeID{-1, 0, 1, 2} {
-			if got, want := c2.SearchAfter(gb.Out[u], true, u, after), SearchAfter(gb.Out[u], after); got != want {
+			if got, want := c2.SearchAfter(gb.OutEdges(u), true, u, after), SearchAfter(gb.OutEdges(u), after); got != want {
 				t.Fatalf("out[%d] after=%d: cache=%d want=%d (stale entry from previous graph)", u, after, got, want)
 			}
-			if got, want := c2.SearchAfter(gb.In[u], false, u, after), SearchAfter(gb.In[u], after); got != want {
+			if got, want := c2.SearchAfter(gb.InEdges(u), false, u, after), SearchAfter(gb.InEdges(u), after); got != want {
 				t.Fatalf("in[%d] after=%d: cache=%d want=%d (stale entry from previous graph)", u, after, got, want)
 			}
 		}
@@ -165,7 +165,7 @@ func TestWindowCacheResetForIdentity(t *testing.T) {
 
 	c := &WindowCache{}
 	c.ResetFor(ga)
-	c.SearchAfter(ga.Out[0], true, 0, 0)
+	c.SearchAfter(ga.OutEdges(0), true, 0, 0)
 	if c.out[0].epoch != c.epoch {
 		t.Fatal("expected a live cached entry after the first query")
 	}
@@ -178,7 +178,7 @@ func TestWindowCacheResetForIdentity(t *testing.T) {
 	}
 
 	// Different graph: every entry must be physically cleared.
-	c.SearchAfter(ga.Out[0], true, 0, 0)
+	c.SearchAfter(ga.OutEdges(0), true, 0, 0)
 	c.ResetFor(gb)
 	for i := range c.out {
 		if c.out[i] != (winEntry{}) {
@@ -193,7 +193,7 @@ func TestWindowCacheResetForIdentity(t *testing.T) {
 	if c.epoch != 1 {
 		t.Fatalf("epoch after cross-graph ResetFor = %d, want 1", c.epoch)
 	}
-	if got, want := c.SearchAfter(gb.Out[0], true, 0, 1), SearchAfter(gb.Out[0], EdgeID(1)); got != want {
+	if got, want := c.SearchAfter(gb.OutEdges(0), true, 0, 1), SearchAfter(gb.OutEdges(0), EdgeID(1)); got != want {
 		t.Fatalf("post-swap query = %d, want %d", got, want)
 	}
 }

@@ -4,7 +4,10 @@
 package testutil
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"mint/internal/temporal"
 )
@@ -89,4 +92,40 @@ func RandomMotif(rng *rand.Rand, edges int, delta temporal.Timestamp) *temporal.
 		}
 		return m
 	}
+}
+
+// CheckListLayout compares g against the per-node list layout graphs had
+// before the flat CSR: edges copied and stably sorted by time, and one
+// ascending edge-index list per node and direction, built by appending
+// edge indices in order. It returns nil when g's edges, node count and
+// every OutEdges/InEdges list equal that layout built from edges, which
+// may be in any order (ties keep their order in edges).
+func CheckListLayout(g *temporal.Graph, edges []temporal.Edge) error {
+	sorted := append([]temporal.Edge(nil), edges...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
+	n := 0
+	for _, e := range sorted {
+		n = max(n, int(e.Src)+1, int(e.Dst)+1)
+	}
+	out := make([][]temporal.EdgeID, n)
+	in := make([][]temporal.EdgeID, n)
+	for i, e := range sorted {
+		out[e.Src] = append(out[e.Src], temporal.EdgeID(i))
+		in[e.Dst] = append(in[e.Dst], temporal.EdgeID(i))
+	}
+	if g.NumNodes() != n {
+		return fmt.Errorf("NumNodes = %d, want %d", g.NumNodes(), n)
+	}
+	if !slices.Equal(g.Edges, sorted) {
+		return fmt.Errorf("edges differ: got %v, want %v", g.Edges, sorted)
+	}
+	for u := 0; u < n; u++ {
+		if got := g.OutEdges(temporal.NodeID(u)); !slices.Equal(got, out[u]) {
+			return fmt.Errorf("OutEdges(%d) = %v, want %v", u, got, out[u])
+		}
+		if got := g.InEdges(temporal.NodeID(u)); !slices.Equal(got, in[u]) {
+			return fmt.Errorf("InEdges(%d) = %v, want %v", u, got, in[u])
+		}
+	}
+	return nil
 }

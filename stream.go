@@ -33,10 +33,13 @@ package mint
 // either exact or explicitly stale, never silently wrong.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -144,16 +147,20 @@ type Stream struct {
 	opts StreamOptions
 	log  *edgelog.Log
 
-	mu      sync.Mutex
-	edges   []Edge // live edges in append order (stable-sort tie-break)
+	mu sync.Mutex
+	// edges is the live window in graph order: sorted by time, ties in
+	// append order. Graphs adopt it without copying, so no element below
+	// len(edges) is ever written again: in-order batches append past the
+	// end, eviction reslices the front, and an out-of-order batch merges
+	// into a fresh array.
+	edges   []Edge
 	maxTime Timestamp
 	hasMax  bool
 	cutoff  Timestamp
 	hasCut  bool
-	graph   *Graph // built lazily from edges; nil when dirty
-	fp      string // cached EdgesFingerprint; valid when fpOK
-	fpOK    bool
-	lastSeq uint64 // last WAL seq applied to edges
+	graph   *Graph   // adopts edges lazily; nil when dirty
+	fp      liveHash // incremental fingerprint of edges
+	lastSeq uint64   // last WAL seq applied to edges
 
 	queries    map[string]*standingQuery
 	countGraph *Graph // baseline of the committed standing counts
@@ -194,6 +201,7 @@ func OpenStream(dir string, opts StreamOptions) (*Stream, StreamRecovery, error)
 		log:        l,
 		queries:    map[string]*standingQuery{},
 		pendingMin: math.MaxInt64,
+		fp:         liveHash{pow: 1},
 	}
 	rec := StreamRecovery{
 		Records:   len(replay.Records),
@@ -208,10 +216,7 @@ func OpenStream(dir string, opts StreamOptions) (*Stream, StreamRecovery, error)
 		if snap.HasCutoff || snap.Cutoff != 0 {
 			s.cutoff, s.hasCut = snap.Cutoff, true
 		}
-		for _, e := range snap.Edges {
-			s.observeTime(e.Time)
-		}
-		s.edges = append(s.edges, snap.Edges...)
+		s.loadWindowLocked(snap.Edges)
 		for _, sp := range snap.Standing {
 			op := edgelog.StandingOp{Op: edgelog.StandingRegister, Name: sp.Name, Spec: sp.Spec, Delta: sp.Delta}
 			if err := s.applyStandingLocked(&op); err != nil {
@@ -305,11 +310,28 @@ func (s *Stream) observeTime(t Timestamp) {
 	}
 }
 
+// loadWindowLocked replaces the live window with a snapshot's edges.
+// Older snapshots stored the window in append order, newer ones in graph
+// order; a stable sort maps both to graph order.
+func (s *Stream) loadWindowLocked(edges []Edge) {
+	s.maxTime, s.hasMax = 0, false
+	for _, e := range edges {
+		s.observeTime(e.Time)
+	}
+	s.edges = make([]Edge, len(edges), 2*len(edges))
+	copy(s.edges, edges)
+	slices.SortStableFunc(s.edges, byTime)
+	s.fp.reset(s.edges)
+	s.graph = nil
+}
+
+func byTime(a, b Edge) int { return cmp.Compare(a.Time, b.Time) }
+
 // applyLocked folds one durable record into the live edge set: advance
-// the time watermark, advance the eviction cutoff, drop evicted edges.
-// Replay calls it with the exact acked sequence, so the resulting state
-// is a pure function of the record history — the property the
-// differential suite pins.
+// the time watermark, advance the eviction cutoff, drop evicted edges,
+// then merge the batch into the sorted window. Replay calls it with the
+// exact acked sequence, so the resulting state is a pure function of the
+// record history — the property the differential suite pins.
 func (s *Stream) applyLocked(seq uint64, edges []Edge) (accepted, evicted int) {
 	for _, e := range edges {
 		s.observeTime(e.Time)
@@ -320,29 +342,36 @@ func (s *Stream) applyLocked(seq uint64, edges []Edge) (accepted, evicted int) {
 		}
 	}
 	if s.hasCut {
-		kept := s.edges[:0]
-		for _, e := range s.edges {
-			if e.Time >= s.cutoff {
-				kept = append(kept, e)
-			} else {
-				evicted++
-			}
+		k := sort.Search(len(s.edges), func(i int) bool { return s.edges[i].Time >= s.cutoff })
+		for _, e := range s.edges[:k] {
+			s.fp.pop(e)
 		}
-		s.edges = kept
+		s.edges = s.edges[k:]
+		evicted += k
 	}
+	n := len(s.edges)
+	s.reserveLocked(len(edges))
 	for _, e := range edges {
 		if s.hasCut && e.Time < s.cutoff {
 			evicted++
 			continue
 		}
 		s.edges = append(s.edges, e)
-		accepted++
 		if e.Time < s.pendingMin {
 			s.pendingMin = e.Time
 		}
 	}
+	accepted = len(s.edges) - n
+	batch := s.edges[n:]
+	slices.SortStableFunc(batch, byTime)
+	if n == 0 || len(batch) == 0 || batch[0].Time >= s.edges[n-1].Time {
+		for _, e := range batch {
+			s.fp.push(e)
+		}
+	} else {
+		s.mergeLocked(n)
+	}
 	s.graph = nil
-	s.fpOK = false
 	s.lastSeq = seq
 	s.opts.Obs.Gauge("stream.edges").Set(int64(len(s.edges)))
 	if evicted > 0 {
@@ -351,15 +380,56 @@ func (s *Stream) applyLocked(seq uint64, edges []Edge) (accepted, evicted int) {
 	return accepted, evicted
 }
 
+// reserveLocked makes room to append n edges without writing any element
+// a graph may hold: when the backing array is full, the window moves to a
+// fresh one with twice the room it needs.
+func (s *Stream) reserveLocked(n int) {
+	if cap(s.edges)-len(s.edges) >= n {
+		return
+	}
+	grown := make([]Edge, len(s.edges), 2*(len(s.edges)+n))
+	copy(grown, s.edges)
+	s.edges = grown
+}
+
+// mergeLocked handles an out-of-order batch: s.edges[n:] is a sorted
+// batch that starts before the window s.edges[:n] ends. The two merge,
+// window first on equal times, into a fresh array (older graphs still
+// hold the old one), and the fingerprint is rehashed.
+func (s *Stream) mergeLocked(n int) {
+	win, batch := s.edges[:n], s.edges[n:]
+	merged := make([]Edge, 0, 2*len(s.edges))
+	i, j := 0, 0
+	for i < len(win) && j < len(batch) {
+		if batch[j].Time < win[i].Time {
+			merged = append(merged, batch[j])
+			j++
+		} else {
+			merged = append(merged, win[i])
+			i++
+		}
+	}
+	merged = append(append(merged, win[i:]...), batch[j:]...)
+	s.edges = merged
+	s.fp.reset(merged)
+	s.opts.Obs.Counter("stream.out_of_order").Add(1)
+}
+
 func (s *Stream) graphLocked() (*Graph, error) {
 	if s.graph == nil {
-		g, err := temporal.NewGraph(s.edges)
+		g, err := temporal.FromSorted(s.edges)
 		if err != nil {
 			return nil, err
 		}
 		s.graph = g
 	}
 	return s.graph, nil
+}
+
+// fingerprintLocked renders the live fingerprint: the window's length and
+// its incremental hash.
+func (s *Stream) fingerprintLocked() string {
+	return fmt.Sprintf("live/%d/%016x", len(s.edges), s.fp.h)
 }
 
 // AppendResult reports one Append.
@@ -377,6 +447,11 @@ type AppendResult struct {
 	// append (they are marked stale and will retry); the edge data itself
 	// is durable and live regardless.
 	Stale bool `json:"stale,omitempty"`
+	// Edges and Fingerprint describe the live graph right after this
+	// append (for a duplicate: the live graph now), read under the same
+	// lock as the append, so a concurrent writer cannot leak into them.
+	Edges       int    `json:"edges"`
+	Fingerprint string `json:"fingerprint"`
 }
 
 // Append durably adds a batch of edges to the live graph and folds the
@@ -395,7 +470,7 @@ func (s *Stream) Append(ctx context.Context, clientID string, clientSeq uint64, 
 		return AppendResult{}, err
 	}
 	if dup {
-		return AppendResult{Dup: true}, nil
+		return AppendResult{Dup: true, Edges: len(s.edges), Fingerprint: s.fingerprintLocked()}, nil
 	}
 	var res AppendResult
 	res.Seq = rec.Seq
@@ -416,6 +491,7 @@ func (s *Stream) Append(ctx context.Context, clientID string, clientSeq uint64, 
 			s.appendsSinceSnap = 0
 		}
 	}
+	res.Edges, res.Fingerprint = len(s.edges), s.fingerprintLocked()
 	return res, nil
 }
 
@@ -423,7 +499,7 @@ func (s *Stream) Append(ctx context.Context, clientID string, clientSeq uint64, 
 func (s *Stream) snapshotLocked() error {
 	snap := &edgelog.Snapshot{
 		Seq:       s.lastSeq,
-		Edges:     append([]Edge(nil), s.edges...),
+		Edges:     s.edges[:len(s.edges):len(s.edges)],
 		Cutoff:    s.cutoff,
 		HasCutoff: s.hasCut,
 		Standing:  s.standingSpecsLocked(),
@@ -837,17 +913,11 @@ func (s *Stream) InstallSnapshot(snap *edgelog.Snapshot) error {
 	if err := s.log.InstallSnapshot(snap); err != nil {
 		return err
 	}
-	s.edges = append(s.edges[:0:0], snap.Edges...)
-	s.maxTime, s.hasMax = 0, false
-	for _, e := range snap.Edges {
-		s.observeTime(e.Time)
-	}
+	s.loadWindowLocked(snap.Edges)
 	s.cutoff, s.hasCut = 0, false
 	if snap.HasCutoff || snap.Cutoff != 0 {
 		s.cutoff, s.hasCut = snap.Cutoff, true
 	}
-	s.graph = nil
-	s.fpOK = false
 	s.lastSeq = snap.Seq
 	s.queries = map[string]*standingQuery{}
 	for _, sp := range snap.Standing {
@@ -916,24 +986,18 @@ type StreamInfo struct {
 }
 
 // Info returns the current stream position. The fingerprint covers the
-// live edge sequence and changes on every accepted append — it is the
-// identity the registry's stale-read guard checks. It is cached per
-// applied append (Info runs on every ack, /readyz probe, and standing
-// list; an O(edges) hash under the stream mutex on each of those would
-// serialize ingest).
+// live edge sequence in graph order and changes on every accepted append;
+// a follower checks it against its source at catch-up. It is maintained
+// incrementally (see liveHash), so Info costs O(1).
 func (s *Stream) Info() StreamInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.fpOK {
-		s.fp = edgelog.EdgesFingerprint(s.edges)
-		s.fpOK = true
-	}
 	return StreamInfo{
 		Seq:         s.lastSeq,
 		Edges:       len(s.edges),
 		Cutoff:      s.cutoff,
 		MaxTime:     s.maxTime,
-		Fingerprint: s.fp,
+		Fingerprint: s.fingerprintLocked(),
 		Segments:    s.log.SegmentCount(),
 		Epoch:       s.log.Epoch(),
 	}
