@@ -17,8 +17,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# The root package needs ~12 minutes under -race on a 2-vCPU host
+# (TestAblationDirections alone ~11), past go test's 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 25m ./...
 
 # Serving-layer verification: the full mintd suite under -race —
 # admission/breaker/registry units, endpoint contracts, the chaos soak

@@ -83,11 +83,11 @@ func MotifByName(name string, delta Timestamp) (*Motif, error) {
 func LoadSNAPFile(path string) (*Graph, error) { return temporal.LoadSNAPFile(path) }
 
 // Count returns the exact number of δ-temporal motif instances of m in g,
-// using the sequential chronological edge-driven algorithm of Mackey et
-// al. — the algorithm Mint accelerates. It is an uncancellable, unbounded
-// shim over CountCtx.
+// using the chronological edge-driven algorithm of Mackey et al. — the
+// algorithm Mint accelerates — on one worker. It is CountParallel with one
+// worker.
 func Count(g *Graph, m *Motif) int64 {
-	return CountCtx(context.Background(), g, m, Budget{}).Matches
+	return CountParallel(g, m, 1)
 }
 
 // CountParallel is Count on a work-stealing worker pool (workers < 1 means
@@ -104,8 +104,7 @@ func CountParallel(g *Graph, m *Motif, workers int) int64 {
 
 // CountTaskQueue runs the paper's asynchronous task-queue programming
 // model (§IV, Fig 5) in software: contexts flow through a bounded queue,
-// each processed task enqueueing its child task. It is an uncancellable
-// shim over CountTaskQueueCtx.
+// each processed task enqueueing its child task.
 func CountTaskQueue(g *Graph, m *Motif, workers, contexts int) int64 {
 	return task.RunQueue(g, m, workers, contexts)
 }
@@ -127,11 +126,6 @@ func CountCycles(g *Graph, k int, delta Timestamp) (int64, error) {
 func Enumerate(g *Graph, m *Motif, visit func(edges []int32)) {
 	EnumerateCtx(context.Background(), g, m, Budget{}, visit)
 }
-
-type enumProbe struct{ visit func([]int32) }
-
-func (p enumProbe) NeighborhoodAccess(int32, bool, int, int, int32) {}
-func (p enumProbe) Match(edges []int32)                             { p.visit(edges) }
 
 // ApproxConfig configures the PRESTO-style sampling estimator.
 type ApproxConfig = presto.Config

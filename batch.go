@@ -12,8 +12,6 @@ import (
 	"context"
 
 	"mint/internal/comine"
-	"mint/internal/obs"
-	"mint/internal/runctl"
 )
 
 // BatchResult is the outcome of a co-mined multi-motif run: per-motif
@@ -26,30 +24,6 @@ type BatchResult = comine.Result
 // an exact lower bound, loudly flagged with its StopReason.
 type BatchMotifResult = comine.MotifResult
 
-// BatchOptions configures CountManyOpts beyond the plain
-// (workers, budget) pair of CountManyCtx.
-type BatchOptions struct {
-	// Workers sets the per-group parallelism (< 1 means GOMAXPROCS).
-	Workers int
-	// Obs, when non-nil, receives the co-mining counters (comine.groups,
-	// comine.fork_points, the shared-prefix hit-ratio gauge) plus the
-	// executor's folded mackey.* stats.
-	Obs *ObsRegistry
-	// Chaos, when non-nil, installs a fault-injection plan on the run's
-	// controller; every group rolls at the mining executor's chunk site
-	// "mackey.chunk". An injected fault truncates the run loudly with
-	// StopFaultInjected.
-	Chaos *ChaosPlan
-	// Roots restricts the batch to instances rooted in this timestamp
-	// window (nil = whole graph); batches over disjoint adjacent windows
-	// sum exactly, the coordinator fan-out property.
-	Roots *RootWindow
-	// Trace, when non-nil, receives one span per co-mined group.
-	Trace *obs.Tracer
-	// TraceID tags emitted spans with the request's distributed trace id.
-	TraceID string
-}
-
 // CountManyCtx counts every motif of the set in one co-mined run under
 // ONE shared budget: same-δ motifs are grouped and mined by a single
 // traversal per group, so b bounds the batch as a whole — not each
@@ -59,24 +33,6 @@ type BatchOptions struct {
 // staying exact lower bounds. A worker panic converts to a returned
 // *PanicError alongside the partial result.
 func CountManyCtx(ctx context.Context, g *Graph, motifs []*Motif, workers int, b Budget) (BatchResult, error) {
-	return CountManyOpts(ctx, g, motifs, BatchOptions{Workers: workers}, b)
-}
-
-// CountManyOpts is CountManyCtx with the full option set (observability,
-// chaos injection, root windowing, tracing).
-func CountManyOpts(ctx context.Context, g *Graph, motifs []*Motif, opts BatchOptions, b Budget) (BatchResult, error) {
-	plan, err := comine.PlanSet(motifs)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	ctl := runctl.New(ctx, b)
-	ctl.SetFaultPlan(opts.Chaos)
-	ctl.SetTraceID(opts.TraceID)
-	return comine.MineCtx(ctx, g, plan, comine.Options{
-		Workers: opts.Workers,
-		Ctl:     ctl,
-		Obs:     opts.Obs,
-		Trace:   opts.Trace,
-		Roots:   rootRangeFor(g, opts.Roots),
-	}, b)
+	res, err := Run(ctx, g, Query{Motifs: motifs, Workers: workers, Budget: b})
+	return res.Batch, err
 }

@@ -299,24 +299,29 @@ func main() {
 			truncNote(res.StopReason)
 		}
 	case "fallback":
-		if budget.Deadline.IsZero() && *timeout > 0 {
-			// Reserve a slice of the wall budget for the estimator.
-			budget.Deadline = start.Add(*timeout * 3 / 4)
-		}
-		res, err := fallback(ctx, g, m, opts, budget, *windows)
+		res, err := mint.Run(ctx, g, mint.Query{
+			Motif:    m,
+			Workers:  *workers,
+			Budget:   budget,
+			Fallback: &mint.ApproxConfig{Windows: *windows, C: 1.25, Seed: 1},
+			Chaos:    plan,
+			Obs:      reg,
+			Trace:    tracer,
+			TraceID:  ctl.TraceID(),
+		})
 		if err != nil {
 			fatal(err)
 		}
-		oc = outcome{matches: res.exactPartial, truncated: !res.exact, reason: res.reason}
-		switch {
-		case res.exact:
-			fmt.Printf("matches: %d (exact) in %v\n", res.exactPartial, time.Since(start))
-		case res.approximate:
+		oc = outcome{matches: res.Matches, truncated: res.Truncated, reason: res.StopReason}
+		switch res.Engine {
+		case mint.EngineExact:
+			fmt.Printf("matches: %d (exact) in %v\n", res.Matches, time.Since(start))
+		case mint.EnginePresto:
 			fmt.Printf("estimate: %.1f motifs (approximate; exact miner truncated: %s, partial count %d) in %v\n",
-				res.count, res.reason, res.exactPartial, time.Since(start))
+				res.Count, res.StopReason, res.Matches, time.Since(start))
 		default:
 			fmt.Printf("matches: ≥%d (partial lower bound; run interrupted: %s) in %v\n",
-				res.exactPartial, res.reason, time.Since(start))
+				res.Matches, res.StopReason, time.Since(start))
 		}
 	default:
 		fatal(fmt.Errorf("unknown -algo %q", *algo))
@@ -401,46 +406,6 @@ func buildReport(algo string, g *temporal.Graph, m *temporal.Motif, workers int,
 	}
 	rep.AttachSnapshot(snap)
 	return rep
-}
-
-// fallbackResult mirrors the library's CountWithFallback outcome with just
-// what the CLI report needs.
-type fallbackResult struct {
-	count        float64
-	exact        bool
-	approximate  bool
-	exactPartial int64
-	reason       runctl.Reason
-}
-
-// fallback tries the exact parallel miner within budget and degrades to
-// the PRESTO estimator when it is cut short.
-func fallback(ctx context.Context, g *temporal.Graph, m *temporal.Motif, opts mackey.Options, budget runctl.Budget, windows int) (fallbackResult, error) {
-	res, err := mackey.MineParallelCtx(ctx, g, m, opts, budget)
-	out := fallbackResult{exactPartial: res.Matches, reason: res.StopReason}
-	if err != nil {
-		return out, err
-	}
-	if !res.Truncated {
-		out.exact = true
-		out.count = float64(res.Matches)
-		return out, nil
-	}
-	ares, err := presto.EstimateCtx(ctx, g, m, presto.Config{Windows: windows, C: 1.25, Seed: 1})
-	if err != nil {
-		return out, err
-	}
-	if ares.WindowsRun == 0 {
-		return out, nil
-	}
-	out.approximate = true
-	out.count = ares.Estimate
-	// The exact partial count is a proven lower bound on the true count;
-	// never report an estimate we already know is too low.
-	if lb := float64(res.Matches); out.count < lb {
-		out.count = lb
-	}
-	return out, nil
 }
 
 func report(matches int64, start time.Time) {

@@ -195,7 +195,8 @@ func TestSIGTERMDrain(t *testing.T) {
 	if ckpt == "" {
 		t.Fatalf("truncated supervised response has no checkpoint: %v", r.resp)
 	}
-	res, err := mint.CountResumeCtx(context.Background(), g, m, 4, mint.Budget{}, ckpt)
+	res, err := mint.Run(context.Background(), g, mint.Query{Motif: m, Workers: 4,
+		Supervisor: &mint.SupervisorConfig{CheckpointPath: ckpt, Resume: true}})
 	if err != nil {
 		t.Fatalf("resume from %s: %v", ckpt, err)
 	}

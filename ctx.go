@@ -4,13 +4,14 @@ package mint
 //
 // Temporal motif search trees are heavy-tailed: a pathological (graph,
 // motif, δ) triple can expand combinatorially many nodes (paper §II,
-// Fig 2), so every blocking entry point has a *Ctx twin that accepts a
-// context.Context and a Budget. Cancellation is cooperative and cheap —
-// workers poll a shared atomic flag every few thousand tree expansions —
-// and an aborted run returns its exact partial results (Truncated=true)
-// instead of discarding the work. CountWithFallback goes one step
-// further: when the exact miner exceeds its deadline it degrades to the
-// PRESTO sampling estimate, turning a hard timeout into a usable answer.
+// Fig 2), so every mining run takes a context.Context and a Budget
+// (through Query, or the *Ctx one-liners over Run). Cancellation is
+// cooperative and cheap — workers poll a shared atomic flag every few
+// thousand tree expansions — and an aborted run returns its exact
+// partial results (Truncated=true) instead of discarding the work. A
+// Query with a Fallback goes one step further: when the exact miner
+// exceeds its budget it degrades to the PRESTO sampling estimate,
+// turning a hard timeout into a usable answer.
 
 import (
 	"context"
@@ -22,13 +23,11 @@ import (
 	"mint/internal/obs"
 	"mint/internal/presto"
 	"mint/internal/runctl"
-	"mint/internal/task"
 )
 
 // ObsRegistry is the observability registry engines report into; see
-// internal/obs. Serving layers pass one through FallbackConfig.Obs (and
-// attach it to their HTTP debug endpoints) to attribute traffic to
-// engines.
+// internal/obs. Serving layers pass one through Query.Obs (and attach
+// it to their HTTP debug endpoints) to attribute traffic to engines.
 type ObsRegistry = obs.Registry
 
 // NewObsRegistry creates a named observability registry.
@@ -69,9 +68,6 @@ type MineResult = mackey.Result
 // MineStats re-exports the miner instrumentation counters.
 type MineStats = mackey.Stats
 
-// TaskQueueResult is the outcome of a cancellable task-queue run.
-type TaskQueueResult = task.QueueResult
-
 // PanicError is the error returned when a mining worker panics: the run
 // aborts cleanly (no process death), partial results stay available, and
 // the error carries the worker index and offending root edge ID.
@@ -83,27 +79,13 @@ type ApproxResult = presto.Result
 // GPUResult is the outcome of the GPU SIMT timing model.
 type GPUResult = gpumodel.Result
 
-// CountCtx is Count bounded by a context and a budget. A truncated run
-// returns Truncated=true with the exact partial count and stats; at a
-// fixed MaxNodes budget the sequential truncation point — and therefore
-// the partial count — is deterministic across runs.
-func CountCtx(ctx context.Context, g *Graph, m *Motif, b Budget) MineResult {
-	return mackey.MineCtx(ctx, g, m, mackey.Options{}, b)
-}
-
 // CountParallelCtx is CountParallel bounded by a context and a budget
 // (workers < 1 means GOMAXPROCS). A panicking worker converts into a
 // returned *PanicError instead of killing the process; the partial result
 // accompanies the error.
 func CountParallelCtx(ctx context.Context, g *Graph, m *Motif, workers int, b Budget) (MineResult, error) {
-	return mackey.MineParallelCtx(ctx, g, m, mackey.Options{Workers: workers}, b)
-}
-
-// CountTaskQueueCtx is CountTaskQueue bounded by a context and a budget.
-// On cancellation the bounded queue drains cleanly and the partial count
-// is returned with Truncated=true.
-func CountTaskQueueCtx(ctx context.Context, g *Graph, m *Motif, workers, contexts int, b Budget) (TaskQueueResult, error) {
-	return task.RunQueueCtl(g, m, workers, contexts, runctl.New(ctx, b))
+	res, err := Run(ctx, g, Query{Motif: m, Workers: workers, Budget: b})
+	return res.MineResult, err
 }
 
 // EnumerateCtx is Enumerate bounded by a context and a budget. With
@@ -111,29 +93,8 @@ func CountTaskQueueCtx(ctx context.Context, g *Graph, m *Motif, workers, context
 // deterministic chronological search order) and stops. The visit slice is
 // reused across calls; copy it to retain.
 func EnumerateCtx(ctx context.Context, g *Graph, m *Motif, b Budget, visit func(edges []int32)) MineResult {
-	return mackey.MineCtx(ctx, g, m, mackey.Options{Probe: enumProbe{visit}}, b)
-}
-
-// EnumerateChaosCtx is EnumerateCtx with a fault-injection plan
-// installed on the run's controller (nil chaos behaves exactly like
-// EnumerateCtx). An injected fault stops the enumeration loudly:
-// Truncated=true with StopFaultInjected, matches streamed so far intact
-// — the serving layer's "never silently wrong" contract depends on it.
-func EnumerateChaosCtx(ctx context.Context, g *Graph, m *Motif, b Budget, chaos *ChaosPlan, visit func(edges []int32)) MineResult {
-	return EnumerateChaosRootsCtx(ctx, g, m, b, chaos, nil, visit)
-}
-
-// EnumerateChaosRootsCtx is EnumerateChaosCtx restricted to instances
-// whose root (earliest) edge falls in the half-open timestamp window
-// roots (nil = unrestricted). Enumeration order within the window is
-// the same deterministic chronological search order, so concatenating
-// the streams of adjacent windows reproduces the global order — the
-// property the scatter-gather coordinator's merged pagination rests on.
-func EnumerateChaosRootsCtx(ctx context.Context, g *Graph, m *Motif, b Budget, chaos *ChaosPlan, roots *RootWindow, visit func(edges []int32)) MineResult {
-	ctl := runctl.New(ctx, b)
-	ctl.SetFaultPlan(chaos)
-	return mackey.MineCtx(ctx, g, m,
-		mackey.Options{Probe: enumProbe{visit}, Ctl: ctl, Roots: rootRangeFor(g, roots)}, b)
+	res, _ := Run(ctx, g, Query{Motif: m, Budget: b, Visit: visit}) // a single-motif enumeration is always a valid query
+	return res.MineResult
 }
 
 // RootWindow restricts a mining run to motif instances rooted in the
@@ -203,160 +164,4 @@ type ChaosPlan = faultinject.Plan
 // (all fields optional; rates are per-site-evaluation probabilities).
 func ParseChaosPlan(spec string) (*ChaosPlan, error) {
 	return faultinject.Parse(spec)
-}
-
-// CountSupervisedCtx mines under the fault-tolerant supervisor: failed
-// chunks are retried with backoff, repeatedly failing chunks are
-// quarantined into the result's Poisoned ledger (marking it Truncated)
-// instead of killing the run, and — with cfg.CheckpointPath set —
-// progress is checkpointed crash-safely. chaos may be nil; when set,
-// every engine hook rolls faults from it. The returned error is reserved
-// for setup failures (an unreadable or mismatched checkpoint).
-func CountSupervisedCtx(ctx context.Context, g *Graph, m *Motif, workers int,
-	b Budget, cfg SupervisorConfig, chaos *ChaosPlan) (SupervisedMineResult, error) {
-	ctl := runctl.New(ctx, b)
-	ctl.SetFaultPlan(chaos)
-	return mackey.MineParallelSupervised(ctx, g, m,
-		mackey.Options{Workers: workers, Ctl: ctl}, b, cfg)
-}
-
-// CountResumeCtx resumes an interrupted supervised run from the
-// checkpoint at path: chunks the snapshot records as completed are
-// skipped and their counts merged, so the final result is count-identical
-// to an uninterrupted run. A missing checkpoint starts fresh; a
-// checkpoint written for a different (graph, motif, partition) is
-// rejected with an error.
-func CountResumeCtx(ctx context.Context, g *Graph, m *Motif, workers int,
-	b Budget, path string) (SupervisedMineResult, error) {
-	return CountSupervisedCtx(ctx, g, m, workers, b,
-		SupervisorConfig{CheckpointPath: path, Resume: true}, nil)
-}
-
-// FallbackConfig configures CountWithFallback's exact→approximate
-// degradation.
-type FallbackConfig struct {
-	// Budget bounds the exact attempt — typically a Deadline, optionally
-	// MaxNodes. Leave headroom between this deadline and the context's own
-	// deadline so the estimator has time to run.
-	Budget Budget
-	// Workers is the exact miner's parallelism (< 1 means GOMAXPROCS).
-	Workers int
-	// Approx configures the PRESTO estimator used when the exact attempt
-	// is cut short. The zero value means DefaultApproxConfig().
-	Approx ApproxConfig
-	// Chaos, when non-nil, installs a fault-injection plan on the exact
-	// stage's controller (the estimator stage has no injection sites), so
-	// robustness tests exercise the degradation ladder deterministically.
-	Chaos *ChaosPlan
-	// Obs, when non-nil, receives per-engine outcome counters
-	// (fallback.exact / fallback.presto / fallback.partial), so serving
-	// layers can see which engine is actually answering traffic.
-	Obs *obs.Registry
-	// Roots restricts the count to instances rooted in this timestamp
-	// window (nil = whole graph). Root-windowed requests never fall back
-	// to the PRESTO estimator — the sampler estimates the whole graph,
-	// not a root slice, and a silently mis-scoped estimate is exactly
-	// what the response contract forbids. A truncated windowed run
-	// returns its exact partial lower bound (EnginePartial) instead.
-	Roots *RootWindow
-	// Trace, when non-nil, receives the exact stage's engine spans
-	// (per-run and per-worker busy intervals); see internal/obs.Tracer.
-	Trace *obs.Tracer
-	// TraceID tags emitted spans with the request's distributed trace id
-	// so cross-process trace assembly can attribute them.
-	TraceID string
-}
-
-// Engines a FallbackResult can report in its Engine field.
-const (
-	// EngineExact: the exact parallel miner completed within budget.
-	EngineExact = "exact"
-	// EnginePresto: the PRESTO sampling estimator produced the answer.
-	EnginePresto = "presto"
-	// EnginePartial: neither completed; Count is the exact stage's
-	// partial lower bound.
-	EnginePartial = "partial"
-)
-
-// FallbackResult is CountWithFallback's outcome.
-type FallbackResult struct {
-	// Count is the best available answer: the exact count when Exact, the
-	// PRESTO estimate when Approximate, otherwise the exact partial count
-	// (a lower bound — the context died before the estimator could run).
-	Count float64
-	// Exact reports that the exact miner completed within its budget.
-	Exact bool
-	// Approximate reports that Count is the sampling estimate.
-	Approximate bool
-	// Engine names the engine that produced Count: EngineExact,
-	// EnginePresto, or EnginePartial.
-	Engine string
-	// ExactPartial is the exact miner's (possibly partial) match count;
-	// always a valid lower bound on the true count.
-	ExactPartial int64
-	// ExactResult and ApproxResult carry the detailed outcomes of the two
-	// stages (ApproxResult is zero when the exact stage completed).
-	ExactResult  MineResult
-	ApproxResult ApproxResult
-}
-
-// CountWithFallback mines exactly within cfg.Budget and degrades
-// gracefully: when the exact parallel miner exceeds its deadline (or node
-// budget), it falls back to the PRESTO sampling estimator under the
-// remaining context, returning an approximate answer flagged as such
-// instead of a hard timeout. The exact stage's partial count is always
-// returned as a lower bound.
-func CountWithFallback(ctx context.Context, g *Graph, m *Motif, cfg FallbackConfig) (FallbackResult, error) {
-	if cfg.Approx.Windows == 0 {
-		cfg.Approx = DefaultApproxConfig()
-	}
-	ctl := runctl.New(ctx, cfg.Budget)
-	ctl.SetFaultPlan(cfg.Chaos)
-	ctl.SetTraceID(cfg.TraceID)
-	res, err := mackey.MineParallelCtx(ctx, g, m,
-		mackey.Options{Workers: cfg.Workers, Ctl: ctl, Roots: rootRangeFor(g, cfg.Roots),
-			Trace: cfg.Trace}, cfg.Budget)
-	out := FallbackResult{ExactResult: res, ExactPartial: res.Matches, Engine: EnginePartial}
-	if err != nil {
-		cfg.Obs.Counter("fallback.error").Add(1)
-		return out, err
-	}
-	if !res.Truncated {
-		out.Exact = true
-		out.Engine = EngineExact
-		out.Count = float64(res.Matches)
-		cfg.Obs.Counter("fallback.exact").Add(1)
-		return out, nil
-	}
-	if cfg.Roots != nil {
-		// No estimator for root-windowed subqueries (see FallbackConfig.
-		// Roots): the exact partial lower bound is the honest answer.
-		out.Count = float64(res.Matches)
-		cfg.Obs.Counter("fallback.partial").Add(1)
-		return out, nil
-	}
-	ares, err := presto.EstimateCtx(ctx, g, m, cfg.Approx)
-	out.ApproxResult = ares
-	if err != nil {
-		cfg.Obs.Counter("fallback.error").Add(1)
-		return out, err
-	}
-	if ares.WindowsRun == 0 {
-		// The context died before a single window completed: the partial
-		// exact count is the only usable answer.
-		out.Count = float64(res.Matches)
-		cfg.Obs.Counter("fallback.partial").Add(1)
-		return out, nil
-	}
-	out.Approximate = true
-	out.Engine = EnginePresto
-	out.Count = ares.Estimate
-	cfg.Obs.Counter("fallback.presto").Add(1)
-	// The exact partial count is a proven lower bound; on heavy-tailed
-	// graphs a small window sample can estimate below it. Never report an
-	// answer we already know is too low.
-	if lb := float64(res.Matches); out.Count < lb {
-		out.Count = lb
-	}
-	return out, nil
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"mint/internal/runctl"
+	"mint/internal/task"
 	"mint/internal/testutil"
 )
 
@@ -23,17 +25,16 @@ func TestCtxShimsMatchBlockingAPI(t *testing.T) {
 	want := Count(g, m)
 	ctx := context.Background()
 
-	res := CountCtx(ctx, g, m, Budget{})
-	if res.Truncated || res.Matches != want {
-		t.Fatalf("CountCtx = %d (truncated=%v), want %d", res.Matches, res.Truncated, want)
+	res, err := Run(ctx, g, Query{Motif: m, Workers: 1})
+	if err != nil || res.Truncated || res.Matches != want {
+		t.Fatalf("Run = %d (truncated=%v), %v; want %d", res.Matches, res.Truncated, err, want)
 	}
 	pres, err := CountParallelCtx(ctx, g, m, 4, Budget{})
 	if err != nil || pres.Matches != want {
 		t.Fatalf("CountParallelCtx = %d, %v; want %d", pres.Matches, err, want)
 	}
-	qres, err := CountTaskQueueCtx(ctx, g, m, 4, 16, Budget{})
-	if err != nil || qres.Matches != want {
-		t.Fatalf("CountTaskQueueCtx = %d, %v; want %d", qres.Matches, err, want)
+	if got := CountTaskQueue(g, m, 4, 16); got != want {
+		t.Fatalf("CountTaskQueue = %d; want %d", got, want)
 	}
 }
 
@@ -74,8 +75,8 @@ func TestEnumerateCtxMaxMatches(t *testing.T) {
 
 func TestCountTaskQueueCtxTruncates(t *testing.T) {
 	g, m := denseTestGraph()
-	res, err := CountTaskQueueCtx(context.Background(), g, m, 4, 16,
-		Budget{Deadline: time.Now().Add(-time.Second)})
+	res, err := task.RunQueueCtl(g, m, 4, 16,
+		runctl.New(context.Background(), Budget{Deadline: time.Now().Add(-time.Second)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +88,15 @@ func TestCountTaskQueueCtxTruncates(t *testing.T) {
 func TestCountWithFallbackExactPath(t *testing.T) {
 	g, m := denseTestGraph()
 	want := Count(g, m)
-	res, err := CountWithFallback(context.Background(), g, m, FallbackConfig{})
+	res, err := Run(context.Background(), g, Query{Motif: m, Fallback: &ApproxConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Exact || res.Approximate {
-		t.Fatalf("exact=%v approximate=%v, want exact", res.Exact, res.Approximate)
+	if res.Engine != EngineExact {
+		t.Fatalf("engine = %q, want exact", res.Engine)
 	}
-	if int64(res.Count) != want || res.ExactPartial != want {
-		t.Fatalf("Count = %v, ExactPartial = %d; want %d", res.Count, res.ExactPartial, want)
+	if int64(res.Count) != want || res.Matches != want {
+		t.Fatalf("Count = %v, Matches = %d; want %d", res.Count, res.Matches, want)
 	}
 }
 
@@ -105,30 +106,31 @@ func TestCountWithFallbackExactPath(t *testing.T) {
 func TestCountWithFallbackApproximatePath(t *testing.T) {
 	g, m := denseTestGraph()
 	full := Count(g, m)
-	cfg := FallbackConfig{
-		Budget:  Budget{MaxNodes: 1}, // force truncation almost immediately
-		Workers: 4,
-		Approx:  ApproxConfig{Windows: 8, C: 1.25, Seed: 3},
+	q := Query{
+		Motif:    m,
+		Budget:   Budget{MaxNodes: 1}, // force truncation almost immediately
+		Workers:  4,
+		Fallback: &ApproxConfig{Windows: 8, C: 1.25, Seed: 3},
 	}
-	res, err := CountWithFallback(context.Background(), g, m, cfg)
+	res, err := Run(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Exact {
+	if res.Engine == EngineExact {
 		t.Fatal("exact stage claimed success under a 1-node budget")
 	}
-	if !res.Approximate {
+	if res.Engine != EnginePresto {
 		t.Fatalf("fallback did not produce an approximate answer: %+v", res)
 	}
-	if !res.ExactResult.Truncated || res.ExactResult.StopReason != StopNodeBudget {
+	if !res.Truncated || res.StopReason != StopNodeBudget {
 		t.Fatalf("exact stage: truncated=%v reason=%v, want NodeBudget",
-			res.ExactResult.Truncated, res.ExactResult.StopReason)
+			res.Truncated, res.StopReason)
 	}
-	if res.ExactPartial < 0 || res.ExactPartial > full {
-		t.Fatalf("ExactPartial = %d outside [0, %d]", res.ExactPartial, full)
+	if res.Matches < 0 || res.Matches > full {
+		t.Fatalf("exact partial = %d outside [0, %d]", res.Matches, full)
 	}
-	if res.ApproxResult.WindowsRun != 8 {
-		t.Fatalf("estimator ran %d windows, want 8", res.ApproxResult.WindowsRun)
+	if res.Approx.WindowsRun != 8 {
+		t.Fatalf("estimator ran %d windows, want 8", res.Approx.WindowsRun)
 	}
 	if res.Count <= 0 {
 		t.Fatalf("estimate %v is not positive on a dense graph", res.Count)
@@ -142,7 +144,7 @@ func TestCountWithFallbackEngineAttribution(t *testing.T) {
 	g, m := denseTestGraph()
 	reg := NewObsRegistry("fallback_test")
 
-	res, err := CountWithFallback(context.Background(), g, m, FallbackConfig{Obs: reg})
+	res, err := Run(context.Background(), g, Query{Motif: m, Fallback: &ApproxConfig{}, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +155,13 @@ func TestCountWithFallbackEngineAttribution(t *testing.T) {
 		t.Fatalf("fallback.exact = %d, want 1", got)
 	}
 
-	cfg := FallbackConfig{
-		Budget: Budget{MaxNodes: 1},
-		Approx: ApproxConfig{Windows: 4, C: 1.25, Seed: 3},
-		Obs:    reg,
+	q := Query{
+		Motif:    m,
+		Budget:   Budget{MaxNodes: 1},
+		Fallback: &ApproxConfig{Windows: 4, C: 1.25, Seed: 3},
+		Obs:      reg,
 	}
-	res, err = CountWithFallback(context.Background(), g, m, cfg)
+	res, err = Run(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +176,7 @@ func TestCountWithFallbackEngineAttribution(t *testing.T) {
 	// single window leaves only the partial lower bound.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = CountWithFallback(ctx, g, m, FallbackConfig{Budget: Budget{MaxNodes: 1}, Obs: reg})
+	res, err = Run(ctx, g, Query{Motif: m, Budget: Budget{MaxNodes: 1}, Fallback: &ApproxConfig{}, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestSimulateGPUCtxTruncates(t *testing.T) {
 
 // TestCountSupervisedAndResumeCtx drives the public fault-tolerance API
 // end to end: a supervised run matches the plain count; a budget-killed
-// checkpointed run resumed via CountResumeCtx converges to the identical
+// checkpointed run resumed from its checkpoint converges to the identical
 // count; and a chaos plan with scheduled transient errors is retried
 // away without truncation.
 func TestCountSupervisedAndResumeCtx(t *testing.T) {
@@ -256,30 +259,31 @@ func TestCountSupervisedAndResumeCtx(t *testing.T) {
 	want := Count(g, m)
 	ctx := context.Background()
 
-	res, err := CountSupervisedCtx(ctx, g, m, 4, Budget{}, SupervisorConfig{}, nil)
+	res, err := Run(ctx, g, Query{Motif: m, Workers: 4, Supervisor: &SupervisorConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Truncated || res.Matches != want {
-		t.Fatalf("CountSupervisedCtx = %d (truncated=%v), want %d", res.Matches, res.Truncated, want)
+		t.Fatalf("supervised Run = %d (truncated=%v), want %d", res.Matches, res.Truncated, want)
 	}
 
 	// Interrupt with a match budget, then resume without one.
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	part, err := CountSupervisedCtx(ctx, g, m, 2, Budget{MaxMatches: want / 3},
-		SupervisorConfig{CheckpointPath: path, CheckpointEvery: 1, CheckpointInterval: -1}, nil)
+	part, err := Run(ctx, g, Query{Motif: m, Workers: 2, Budget: Budget{MaxMatches: want / 3},
+		Supervisor: &SupervisorConfig{CheckpointPath: path, CheckpointEvery: 1, CheckpointInterval: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !part.Truncated {
 		t.Fatalf("budgeted phase was not truncated (matches=%d)", part.Matches)
 	}
-	resumed, err := CountResumeCtx(ctx, g, m, 4, Budget{}, path)
+	resumed, err := Run(ctx, g, Query{Motif: m, Workers: 4,
+		Supervisor: &SupervisorConfig{CheckpointPath: path, Resume: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.Truncated || resumed.Matches != want {
-		t.Fatalf("CountResumeCtx = %d (truncated=%v), want %d", resumed.Matches, resumed.Truncated, want)
+		t.Fatalf("resumed Run = %d (truncated=%v), want %d", resumed.Matches, resumed.Truncated, want)
 	}
 
 	// Transient chunk errors under a chaos plan: retried away, still exact.
@@ -287,13 +291,13 @@ func TestCountSupervisedAndResumeCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaotic, err := CountSupervisedCtx(ctx, g, m, 4, Budget{},
-		SupervisorConfig{MaxAttempts: 6}, plan)
+	chaotic, err := Run(ctx, g, Query{Motif: m, Workers: 4,
+		Supervisor: &SupervisorConfig{MaxAttempts: 6}, Chaos: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if chaotic.Truncated || chaotic.Matches != want {
 		t.Fatalf("chaotic supervised run = %d (truncated=%v, poisoned=%d), want %d",
-			chaotic.Matches, chaotic.Truncated, len(chaotic.Poisoned), want)
+			chaotic.Matches, chaotic.Truncated, len(chaotic.Supervised.Poisoned), want)
 	}
 }

@@ -10,10 +10,13 @@
 //     M1–M4), plus the paper's six evaluation datasets as deterministic
 //     synthetic substitutes (Dataset, Datasets).
 //
-//   - Exact mining: Count and CountParallel run the Mackey et al.
-//     chronological edge-driven algorithm; CountTaskQueue runs the
-//     asynchronous task-queue execution of the paper's programming model;
-//     Enumerate streams the matched edge sequences.
+//   - Exact mining: Run mines one Query — a motif or a co-mined motif
+//     set, with its root window, enumeration, workers, budget, fallback
+//     ladder, supervision, chaos and instrumentation — on the Mackey et
+//     al. chronological edge-driven algorithm. Count, CountParallel,
+//     CountManyCtx, Enumerate and Profile are one-line shims over it;
+//     CountTaskQueue runs the asynchronous task-queue execution of the
+//     paper's programming model.
 //
 //   - Approximate mining: EstimateApprox runs a PRESTO-style sampling
 //     estimator that uses the exact miner as a subroutine.
@@ -25,25 +28,24 @@
 // # Cancellation and budgets
 //
 // Temporal motif search trees are heavy-tailed (paper §II, Fig 2), so
-// every blocking entry point has a *Ctx twin — CountCtx,
-// CountParallelCtx, CountTaskQueueCtx, EnumerateCtx, EstimateApproxCtx,
-// SimulateCtx, SimulateGPUCtx — that accepts a context.Context and a
-// Budget (wall-clock Deadline, MaxMatches, MaxNodes; the zero Budget is
-// unlimited). Cancellation is cooperative: workers poll a shared atomic
-// flag every few thousand search-tree expansions, so the unbounded hot
-// path is unaffected and cancellation latency is microseconds of work per
-// worker.
+// every mining run takes a context.Context and a Budget (wall-clock
+// Deadline, MaxMatches, MaxNodes; the zero Budget is unlimited): Run
+// through Query.Budget, and EstimateApproxCtx, SimulateCtx and
+// SimulateGPUCtx directly. Cancellation is cooperative: workers poll a
+// shared atomic flag every few thousand search-tree expansions, so the
+// unbounded hot path is unaffected and cancellation latency is
+// microseconds of work per worker.
 //
 // A stopped run is not an error: it returns its result with
 // Truncated=true, a StopReason, and exact partial counts — a lower bound
-// on the full answer. On the sequential path a fixed MaxNodes budget
+// on the full answer. On one worker a fixed MaxNodes budget
 // truncates deterministically (same budget, same partial count, every
 // run). A panicking worker in the parallel miners converts into a
 // returned *PanicError carrying the offending root edge instead of
-// killing the process. CountWithFallback composes the layers: it mines
-// exactly within a Budget and, when cut short, degrades to the PRESTO
-// sampling estimate, turning a hard timeout into a usable (flagged)
-// approximate answer.
+// killing the process. A Query with a Fallback composes the layers: it
+// mines exactly within its Budget and, when cut short, degrades to the
+// PRESTO sampling estimate, turning a hard timeout into a usable
+// (flagged) approximate answer.
 //
 // # Observability
 //
@@ -55,7 +57,7 @@
 // fold their private stats into the registry once per worker per run).
 // cmd/mine and cmd/experiments expose it as expvar JSON + pprof
 // (-obs.listen), RunReport JSON (-report), and Chrome trace_event dumps
-// (-trace); ProfileCtx surfaces per-motif truncation in MotifCount.
+// (-trace); ProfileOf surfaces per-motif truncation in MotifCount.
 //
 // Everything under internal/ is the implementation: one package per
 // subsystem (see DESIGN.md for the inventory and the per-experiment map).

@@ -15,7 +15,7 @@ import (
 // scheduler, window-cached candidate scans, chaos site (mackey.chunk)
 // and cooperative runctl budget/cancellation contract.
 type Options struct {
-	// Workers sets the parallelism (< 1 means runtime.NumCPU()).
+	// Workers sets the parallelism (< 1 means GOMAXPROCS).
 	Workers int
 	// Ctl carries the run's shared cancellation/budget state; nil means
 	// uncancellable and unbounded. ONE controller governs the whole

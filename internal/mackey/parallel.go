@@ -76,7 +76,7 @@ func mineChunks(ctx context.Context, g *temporal.Graph, m *temporal.Motif, t *Tr
 	ctl := opts.Ctl
 	workers := opts.Workers
 	if workers < 1 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	lo, hi := opts.rootSpan(g.NumEdges())
 	n := hi - lo

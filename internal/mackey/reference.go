@@ -22,7 +22,7 @@ type Options struct {
 	Memo *MemoTable
 
 	// Workers sets the degree of parallelism for the parallel miners;
-	// values < 1 mean runtime.NumCPU().
+	// values < 1 mean GOMAXPROCS.
 	Workers int
 
 	// Ctl carries the run's cancellation and budget state; nil means the

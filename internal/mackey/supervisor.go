@@ -182,7 +182,7 @@ func MineParallelSupervised(ctx context.Context, g *temporal.Graph, m *temporal.
 
 	workers := opts.Workers
 	if workers < 1 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 
 	// Establish the chunk partition over the run's root span. A resumed

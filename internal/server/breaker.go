@@ -8,7 +8,7 @@ package server
 // would burn a worker slot per attempt exactly when the engine is least
 // trustworthy. The breaker remembers recent outcomes per workload key
 // and, after Threshold consecutive failures, routes that key straight to
-// the degraded (PRESTO-leaning CountWithFallback) path for Cooldown —
+// the degraded (PRESTO-leaning fallback ladder) path for Cooldown —
 // cheap, sampling-based, fault-site-free — then lets one trial request
 // probe the exact engine again (half-open) before closing.
 

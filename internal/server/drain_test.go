@@ -114,7 +114,8 @@ func TestDrainCheckpointsInFlightSupervisedRequest(t *testing.T) {
 
 	// The checkpoint must be valid resume evidence: replaying it (no
 	// chaos, more workers) lands exactly on the oracle count.
-	res, err := mint.CountResumeCtx(context.Background(), g, m, 4, mint.Budget{}, r.resp.Checkpoint)
+	res, err := mint.Run(context.Background(), g, mint.Query{Motif: m, Workers: 4,
+		Supervisor: &mint.SupervisorConfig{CheckpointPath: r.resp.Checkpoint, Resume: true}})
 	if err != nil {
 		t.Fatalf("resume from %s: %v", r.resp.Checkpoint, err)
 	}

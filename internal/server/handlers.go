@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"time"
@@ -302,18 +303,6 @@ func (s *Server) checkout(w http.ResponseWriter, ctx context.Context, dataset st
 	return g, release, true
 }
 
-// loadWorkload resolves the motif (400 on a bad one), then checks the
-// dataset out; the caller must defer the returned release.
-func (s *Server) loadWorkload(w http.ResponseWriter, ctx context.Context, dataset, motifName, motifSpec string, deltaSeconds int64) (*mint.Graph, *mint.Motif, func(), bool) {
-	m, err := motifFor("custom", motifName, motifSpec, Delta(deltaSeconds))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error(), 0)
-		return nil, nil, nil, false
-	}
-	g, release, ok := s.checkout(w, ctx, dataset)
-	return g, m, release, ok
-}
-
 // rootWindowFor maps the wire-level root window onto the engine's.
 func rootWindowFor(tw *TimeWindow) *mint.RootWindow {
 	if tw == nil {
@@ -324,155 +313,15 @@ func rootWindowFor(tw *TimeWindow) *mint.RootWindow {
 
 // workloadKey is the breaker key: dataset × motif class. Named motifs
 // class by name; custom specs by their canonical edge syntax, so two
-// spellings of one motif share a breaker.
-func workloadKey(dataset string, m *mint.Motif) string {
-	if m.Name != "" && m.Name != "custom" {
+// spellings of one motif share a breaker; a motif set classes by size.
+func workloadKey(dataset string, mq mint.Query) string {
+	if len(mq.Motifs) > 0 {
+		return dataset + "/batch:" + strconv.Itoa(len(mq.Motifs))
+	}
+	if m := mq.Motif; m.Name != "" && m.Name != "custom" {
 		return dataset + "/" + m.Name
 	}
-	return dataset + "/custom:" + m.String()
-}
-
-// exactBudget leaves a quarter of the request's wall headroom for the
-// estimator stage of the fallback ladder, mirroring the CLI split.
-func exactBudget(q *Admitted) runctl.Budget {
-	b := q.Full
-	if headroom := runctl.TimeoutFrom(q.Start, b); headroom > 0 {
-		b.Deadline = q.Start.Add(headroom * 3 / 4)
-	}
-	return b
-}
-
-// Handlers ---------------------------------------------------------------
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req CountRequest
-	if !s.front.Decode(w, r, &req) {
-		return
-	}
-	q, ok := s.front.Prelude(w, r, "count", req.Priority, req.TimeoutMS,
-		runctl.Budget{MaxMatches: req.MaxMatches, MaxNodes: req.MaxNodes})
-	if !ok {
-		return
-	}
-	defer q.Done()
-	if len(req.Motifs) > 0 || len(req.MotifSpecs) > 0 {
-		// Batch mode: one co-mined run over the whole set. No sampling
-		// fallback exists for a motif set, so the batch gets the full
-		// budget — no estimator headroom to reserve.
-		if req.Motif != "" || req.MotifSpec != "" {
-			WriteError(w, http.StatusBadRequest, "motifs/motif_specs conflicts with motif/motif_spec", 0)
-			return
-		}
-		if req.Supervised {
-			WriteError(w, http.StatusBadRequest, "supervised batch requests are not supported", 0)
-			return
-		}
-		s.handleCountBatch(w, q, &req)
-		return
-	}
-	g, m, releaseData, ok := s.loadWorkload(w, q.Ctx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
-	if !ok {
-		return
-	}
-	defer releaseData()
-	key := workloadKey(req.Dataset, m)
-	roots := rootWindowFor(req.RootWindow)
-	rt := q.Trace
-	s.obs.Counter(obs.Labeled("server.workload.requests", "dataset", req.Dataset, "motif", m.Name)).Add(1)
-
-	if req.Supervised {
-		if roots != nil {
-			WriteError(w, http.StatusBadRequest, "root_window is not supported with supervised", 0)
-			return
-		}
-		s.handleCountSupervised(w, q, &req, g, m, key)
-		return
-	}
-
-	decision := s.brk.Acquire(key)
-	bsp := rt.Begin("breaker.decision", rt.RootID())
-	bsp.Set("workload", key)
-	bsp.Set("decision", decision.String())
-	bsp.End()
-	if decision == Degrade {
-		s.serveDegraded(w, q, &req, g, m, roots)
-		return
-	}
-	msp := rt.Begin("mine", rt.RootID())
-	var tr *obs.Tracer
-	if rt != nil {
-		tr = obs.NewTracer(128)
-	}
-	res, err := mint.CountWithFallback(q.Ctx, g, m, mint.FallbackConfig{
-		Budget:  exactBudget(q),
-		Workers: s.cfg.Workers,
-		Chaos:   s.cfg.Chaos,
-		Obs:     s.obs,
-		Roots:   roots,
-		Trace:   tr,
-		TraceID: rt.TraceID(),
-	})
-	msp.Set("engine", res.Engine)
-	msp.End()
-	rt.ImportTracer(tr, msp.ID())
-	// A panic or injected fault is breaker evidence even when the
-	// estimator still salvaged an answer.
-	s.brk.Record(key, err == nil && res.ExactResult.StopReason != mint.StopFaultInjected)
-	if err != nil {
-		// The exact engine died (worker panic). Serve the degraded path
-		// rather than surfacing an opaque 500: the client gets an
-		// explicit estimate or a clean 503.
-		s.obs.Counter("server.exact_failed").Add(1)
-		s.serveDegraded(w, q, &req, g, m, roots)
-		return
-	}
-	s.front.Reply(w, q, countResponse(res), req.Explain, req.ReturnTrace)
-}
-
-// countResponse maps a FallbackResult onto the wire contract.
-func countResponse(res mint.FallbackResult) *CountResponse {
-	out := &CountResponse{
-		Count:        res.Count,
-		Exact:        res.Exact,
-		Degraded:     res.Approximate,
-		Engine:       res.Engine,
-		ExactPartial: res.ExactPartial,
-	}
-	if !res.Exact && !res.Approximate {
-		out.Truncated = true
-		out.StopReason = res.ExactResult.StopReason.String()
-	}
-	return out
-}
-
-// serveDegraded is the breaker-open (or exact-engine-failed) path: the
-// fallback ladder with a token exact budget, so the answer comes from
-// PRESTO unless the workload is trivially small. Every success is
-// marked "degraded" unless the tiny exact attempt actually completed.
-// Root-windowed requests (scatter-gather fan-out) never reach PRESTO —
-// the fallback layer returns the exact partial lower bound instead,
-// because an estimate cannot be scoped to a root window.
-func (s *Server) serveDegraded(w http.ResponseWriter, q *Admitted, req *CountRequest, g *mint.Graph, m *mint.Motif, roots *mint.RootWindow) {
-	s.obs.Counter("server.degraded_served").Add(1)
-	sp := q.Trace.Begin("mine.degraded", q.Trace.RootID())
-	res, err := mint.CountWithFallback(q.Ctx, g, m, mint.FallbackConfig{
-		// One checkpoint quantum of exact work: enough to answer tiny
-		// workloads exactly, cheap enough to not matter when it truncates.
-		Budget:  runctl.Budget{MaxNodes: runctl.CheckInterval},
-		Workers: 1,
-		Obs:     s.obs,
-		Roots:   roots,
-		TraceID: q.Trace.TraceID(),
-	})
-	sp.Set("engine", res.Engine)
-	sp.End()
-	if err != nil {
-		s.obs.Counter("server.degraded_failed").Add(1)
-		WriteError(w, http.StatusServiceUnavailable,
-			"degraded path failed: "+err.Error(), RetryAfterSeconds(s.front.RetryAfter()))
-		return
-	}
-	s.front.Reply(w, q, countResponse(res), req.Explain, req.ReturnTrace)
+	return dataset + "/custom:" + mq.Motif.String()
 }
 
 // batchMotifs resolves a batch request's motif list: named motifs
@@ -499,123 +348,188 @@ func batchMotifs(req *CountRequest) ([]*mint.Motif, error) {
 	return motifs, nil
 }
 
-// handleCountBatch serves a multi-motif count as ONE co-mined engine
-// run under one shared budget. The contract is exact-or-loud: there is
-// no PRESTO fallback for a motif set, so every entry is either the
-// exact count or a truncated lower bound flagged with its stop reason
-// — a fault-injected or panicked run answers 200 with every affected
-// entry loudly truncated, never a silently short sum.
-func (s *Server) handleCountBatch(w http.ResponseWriter, q *Admitted, req *CountRequest) {
-	motifs, err := batchMotifs(req)
-	if err != nil {
+// The one query path ------------------------------------------------------
+
+// job is one decoded mining request: the request's part of the Query
+// (serve adds the server's workers, chaos plan and metrics), the
+// dataset, the route's span, and the mapping of the run onto the
+// route's reply. shed
+// names a route whose query has no fallback ladder in the 503 (and the
+// server.<shed>_degraded_unavailable counter) it answers while the
+// workload's breaker is open.
+type job struct {
+	span, shed, dataset  string
+	query                mint.Query
+	reply                func(*mint.Graph, mint.Result) any
+	explain, returnTrace bool
+}
+
+// serve runs a job: validate → checkout → workload counter → breaker
+// Acquire → span → mint.Run → Record → reply. A query with a fallback
+// ladder answers from the degraded path when the breaker is open or the
+// exact engine failed; any other query sheds with 503 while the breaker
+// cools down, and a failed run is served only when it is loudly
+// truncated (a worker panic mid-batch), never as a silently short
+// answer.
+func (s *Server) serve(w http.ResponseWriter, q *Admitted, j job) {
+	mq, rt := j.query, q.Trace
+	mq.Workers, mq.Chaos, mq.Obs, mq.TraceID = s.cfg.Workers, s.cfg.Chaos, s.obs, rt.TraceID()
+	if err := mq.Validate(); err != nil {
 		WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	g, releaseData, ok := s.checkout(w, q.Ctx, req.Dataset)
+	g, release, ok := s.checkout(w, q.Ctx, j.dataset)
 	if !ok {
 		return
 	}
-	defer releaseData()
-	rt := q.Trace
-	for _, m := range motifs {
-		s.obs.Counter(obs.Labeled("server.workload.requests", "dataset", req.Dataset, "motif", m.Name)).Add(1)
+	defer release()
+	motifs := mq.Motifs
+	if mq.Motif != nil {
+		motifs = []*mint.Motif{mq.Motif}
 	}
-	key := req.Dataset + "/batch:" + strconv.Itoa(len(motifs))
+	for _, m := range motifs {
+		s.obs.Counter(obs.Labeled("server.workload.requests", "dataset", j.dataset, "motif", m.Name)).Add(1)
+	}
+	key := workloadKey(j.dataset, mq)
 	decision := s.brk.Acquire(key)
 	bsp := rt.Begin("breaker.decision", rt.RootID())
 	bsp.Set("workload", key)
 	bsp.Set("decision", decision.String())
 	bsp.End()
-	if decision == Degrade {
-		// Like enumeration, a batch has no degraded engine: shed cleanly
-		// while the breaker cools down.
-		s.obs.Counter("server.batch_degraded_unavailable").Add(1)
-		WriteError(w, http.StatusServiceUnavailable,
-			"workload breaker open and batch counting has no degraded mode", RetryAfterSeconds(s.front.RetryAfter()))
-		return
-	}
-	msp := rt.Begin("mine.batch", rt.RootID())
-	var tr *obs.Tracer
-	if rt != nil {
-		tr = obs.NewTracer(128)
-	}
-	res, err := mint.CountManyOpts(q.Ctx, g, motifs, mint.BatchOptions{
-		Workers: s.cfg.Workers,
-		Obs:     s.obs,
-		Chaos:   s.cfg.Chaos,
-		Roots:   rootWindowFor(req.RootWindow),
-		Trace:   tr,
-		TraceID: rt.TraceID(),
-	}, q.Full)
-	msp.Set("groups", strconv.Itoa(res.Groups))
-	msp.End()
-	rt.ImportTracer(tr, msp.ID())
-	s.brk.Record(key, err == nil && res.StopReason != mint.StopFaultInjected)
-	if err != nil && len(res.PerMotif) == 0 {
-		// Setup failure (bad motif set) — nothing loud to serve.
-		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.front.RetryAfter()))
-		return
-	}
-	out := &CountResponse{
-		Engine:   mint.EngineExact,
-		Exact:    !res.Truncated,
-		PerMotif: make([]MotifCountEntry, len(res.PerMotif)),
-	}
-	for i, pm := range res.PerMotif {
-		e := MotifCountEntry{
-			Motif:     pm.Motif.Name,
-			Spec:      pm.Motif.String(),
-			Count:     pm.Matches,
-			Truncated: pm.Truncated,
+	var res mint.Result
+	var err error
+	if decision != Degrade {
+		msp := rt.Begin(j.span, rt.RootID())
+		if rt != nil {
+			mq.Trace = obs.NewTracer(128)
 		}
+		res, err = mint.Run(q.Ctx, g, mq)
+		msp.Set("engine", res.Engine)
+		msp.End()
+		rt.ImportTracer(mq.Trace, msp.ID())
+		// A panic, injected fault or poisoned chunk is breaker evidence
+		// even when the estimator still salvaged an answer.
+		s.brk.Record(key, err == nil && res.StopReason != mint.StopFaultInjected && len(res.Supervised.Poisoned) == 0)
+		if err != nil && mq.Fallback != nil {
+			s.obs.Counter("server.exact_failed").Add(1)
+		}
+	}
+	unavailable := func(msg string) {
+		WriteError(w, http.StatusServiceUnavailable, msg, RetryAfterSeconds(s.front.RetryAfter()))
+	}
+	switch {
+	case decision != Degrade && (err == nil || (res.Truncated && mq.Fallback == nil)):
+		// Exact, or loudly truncated: serve it.
+	case mq.Fallback == nil && decision == Degrade:
+		s.obs.Counter("server." + j.shed + "_degraded_unavailable").Add(1)
+		unavailable("workload breaker open and " + j.shed + " has no degraded mode")
+		return
+	case mq.Fallback == nil:
+		unavailable(err.Error())
+		return
+	default:
+		// The degraded path: the ladder with one checkpoint quantum of
+		// exact work on one worker and no chaos — enough to answer tiny
+		// workloads exactly, cheap enough to not matter when it
+		// truncates — so the answer comes from PRESTO (or, root-windowed,
+		// is the exact partial lower bound).
+		s.obs.Counter("server.degraded_served").Add(1)
+		sp := rt.Begin("mine.degraded", rt.RootID())
+		mq.Budget = runctl.Budget{MaxNodes: runctl.CheckInterval}
+		mq.Workers, mq.Chaos, mq.Trace = 1, nil, nil
+		res, err = mint.Run(q.Ctx, g, mq)
+		sp.Set("engine", res.Engine)
+		sp.End()
+		if err != nil {
+			s.obs.Counter("server.degraded_failed").Add(1)
+			unavailable("degraded path failed: " + err.Error())
+			return
+		}
+	}
+	s.front.Reply(w, q, j.reply(g, res), j.explain, j.returnTrace)
+}
+
+// countResponse maps a count run — single, degraded, supervised or
+// batch — onto the wire contract.
+func countResponse(res mint.Result) *CountResponse {
+	out := &CountResponse{
+		Count:        res.Count,
+		Exact:        res.Engine == mint.EngineExact,
+		Degraded:     res.Engine == mint.EnginePresto,
+		Engine:       res.Engine,
+		ExactPartial: res.Matches,
+	}
+	if res.Engine == mint.EnginePartial {
+		out.Truncated = true
+		out.StopReason = res.StopReason.String()
+	}
+	for _, pm := range res.Batch.PerMotif {
+		e := MotifCountEntry{Motif: pm.Motif.Name, Spec: pm.Motif.String(), Count: pm.Matches, Truncated: pm.Truncated}
 		if pm.Truncated {
 			e.StopReason = pm.StopReason.String()
 		}
-		out.PerMotif[i] = e
-		out.Count += float64(pm.Matches)
-		out.ExactPartial += pm.Matches
+		out.PerMotif = append(out.PerMotif, e)
 	}
-	if res.Truncated {
-		out.Engine = mint.EnginePartial
-		out.Exact = false
-		out.Truncated = true
-		out.StopReason = res.StopReason.String()
-	}
-	s.front.Reply(w, q, out, req.Explain, req.ReturnTrace)
+	return out
 }
 
-// handleCountSupervised runs the checkpointing miner so a drain (or
-// crash) mid-request leaves resumable evidence instead of lost work.
-func (s *Server) handleCountSupervised(w http.ResponseWriter, q *Admitted, req *CountRequest, g *mint.Graph, m *mint.Motif, key string) {
-	if s.cfg.CheckpointDir == "" {
+// Handlers ---------------------------------------------------------------
+
+// handleCount serves the three count shapes. A single motif runs the
+// fallback ladder. A batch (motifs / motif_specs) is ONE co-mined run:
+// there is no estimator for a motif set, so it is exact-or-loud. A
+// supervised count checkpoints so a drain (or crash) mid-request leaves
+// resumable evidence; the checkpoint outlives the request only when the
+// reply names it, on a truncated run.
+func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
+	var req CountRequest
+	if !s.front.Decode(w, r, &req) {
+		return
+	}
+	q, ok := s.front.Prelude(w, r, "count", req.Priority, req.TimeoutMS,
+		runctl.Budget{MaxMatches: req.MaxMatches, MaxNodes: req.MaxNodes})
+	if !ok {
+		return
+	}
+	defer q.Done()
+	j := job{span: "mine", dataset: req.Dataset, explain: req.Explain, returnTrace: req.ReturnTrace,
+		reply: func(_ *mint.Graph, res mint.Result) any { return countResponse(res) },
+		query: mint.Query{Roots: rootWindowFor(req.RootWindow), Budget: q.Full}}
+	batch := len(req.Motifs) > 0 || len(req.MotifSpecs) > 0
+	var err error
+	if batch {
+		j.span, j.shed = "mine.batch", "batch"
+		j.query.Motifs, err = batchMotifs(&req)
+	}
+	if err == nil && (!batch || req.Motif != "" || req.MotifSpec != "") {
+		j.query.Motif, err = motifFor("custom", req.Motif, req.MotifSpec, Delta(req.DeltaSeconds))
+	}
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
+	switch {
+	case req.Supervised && s.cfg.CheckpointDir == "":
 		WriteError(w, http.StatusBadRequest, "supervised requests need a server checkpoint dir (-checkpoint-dir)", 0)
 		return
+	case req.Supervised:
+		path := filepath.Join(s.cfg.CheckpointDir,
+			fmt.Sprintf("req-%d-%s.ckpt", s.reqSeq.Add(1), sanitizeKey(workloadKey(req.Dataset, j.query))))
+		j.span, j.shed = "mine.supervised", "supervised"
+		j.query.Supervisor = &mint.SupervisorConfig{CheckpointPath: path}
+		j.reply = func(_ *mint.Graph, res mint.Result) any {
+			out := countResponse(res)
+			if res.Truncated {
+				out.Checkpoint = path
+			} else if err := os.Remove(path); err != nil {
+				s.obs.Counter("server.checkpoint_remove_failed").Add(1)
+			}
+			return out
+		}
+	case !batch:
+		j.query.Fallback = &mint.ApproxConfig{}
 	}
-	path := filepath.Join(s.cfg.CheckpointDir,
-		fmt.Sprintf("req-%d-%s.ckpt", s.reqSeq.Add(1), sanitizeKey(key)))
-	sp := q.Trace.Begin("mine.supervised", q.Trace.RootID())
-	res, err := mint.CountSupervisedCtx(q.Ctx, g, m, s.cfg.Workers, exactBudget(q),
-		mint.SupervisorConfig{CheckpointPath: path}, s.cfg.Chaos)
-	sp.End()
-	if err != nil {
-		s.brk.Record(key, false)
-		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.front.RetryAfter()))
-		return
-	}
-	s.brk.Record(key, res.StopReason != mint.StopFaultInjected && len(res.Poisoned) == 0)
-	out := &CountResponse{
-		Count:        float64(res.Matches),
-		Exact:        !res.Truncated,
-		Engine:       mint.EngineExact,
-		ExactPartial: res.Matches,
-		Checkpoint:   path,
-	}
-	if res.Truncated {
-		out.Engine = mint.EnginePartial
-		out.Truncated = true
-		out.StopReason = res.StopReason.String()
-	}
-	s.front.Reply(w, q, out, req.Explain, req.ReturnTrace)
+	s.serve(w, q, j)
 }
 
 func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
@@ -642,21 +556,11 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer q.Done()
-	g, m, releaseData, ok := s.loadWorkload(w, q.Ctx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
-	if !ok {
+	m, err := motifFor("custom", req.Motif, req.MotifSpec, Delta(req.DeltaSeconds))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	defer releaseData()
-	key := workloadKey(req.Dataset, m)
-	if s.brk.Acquire(key) == Degrade {
-		// Enumeration has no sampling fallback: shed cleanly while the
-		// breaker cools down rather than burn a slot on a likely panic.
-		s.obs.Counter("server.enumerate_degraded_unavailable").Add(1)
-		WriteError(w, http.StatusServiceUnavailable,
-			"workload breaker open and enumeration has no degraded mode", RetryAfterSeconds(s.front.RetryAfter()))
-		return
-	}
-
 	// Pagination rides the deterministic chronological search order: the
 	// budget stops the walk at offset+limit matches, and the first
 	// offset are skipped as they stream by.
@@ -664,30 +568,31 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	b.MaxMatches = offset + int64(req.Limit)
 	matches := make([][]int32, 0, req.Limit)
 	var seen int64
-	msp := q.Trace.Begin("mine.enumerate", q.Trace.RootID())
-	res := mint.EnumerateChaosRootsCtx(q.Ctx, g, m, b, s.cfg.Chaos, rootWindowFor(req.RootWindow), func(edges []int32) {
-		seen++
-		if seen <= offset {
-			return
-		}
-		if int64(len(matches)) < int64(req.Limit) {
+	visit := func(edges []int32) {
+		if seen++; seen > offset && len(matches) < req.Limit {
 			matches = append(matches, append([]int32(nil), edges...))
 		}
-	})
-	msp.End()
-	s.brk.Record(key, res.StopReason != mint.StopFaultInjected)
-	out := &EnumerateResponse{Matches: matches}
-	switch {
-	case res.Truncated && res.StopReason == mint.StopMatchBudget:
-		// The page filled: not a truncation, just the next page.
-		out.NextPageToken = strconv.FormatInt(offset+int64(len(matches)), 10)
-	case res.Truncated:
-		out.Truncated = true
-		out.StopReason = res.StopReason.String()
 	}
-	s.front.Reply(w, q, out, req.Explain, req.ReturnTrace)
+	s.serve(w, q, job{span: "mine.enumerate", shed: "enumerate", dataset: req.Dataset, explain: req.Explain, returnTrace: req.ReturnTrace,
+		query: mint.Query{Motif: m, Roots: rootWindowFor(req.RootWindow), Visit: visit, Budget: b},
+		reply: func(_ *mint.Graph, res mint.Result) any {
+			out := &EnumerateResponse{Matches: matches}
+			switch {
+			case res.Truncated && res.StopReason == mint.StopMatchBudget:
+				// The page filled: not a truncation, just the next page.
+				out.NextPageToken = strconv.FormatInt(offset+int64(len(matches)), 10)
+			case res.Truncated:
+				out.Truncated = true
+				out.StopReason = res.StopReason.String()
+			}
+			return out
+		},
+	})
 }
 
+// handleProfile serves the M1–M4 profile as the batch query over the
+// evaluation motifs plus the density column, so a worker's profile and
+// a coordinator's (a worker batch per shard) agree.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var req ProfileRequest
 	if !s.front.Decode(w, r, &req) {
@@ -698,33 +603,20 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer q.Done()
-	g, releaseData, ok := s.checkout(w, q.Ctx, req.Dataset)
-	if !ok {
-		return
-	}
-	defer releaseData()
-	msp := q.Trace.Begin("mine.profile", q.Trace.RootID())
-	counts, err := mint.ProfileCtx(q.Ctx, g, mint.EvaluationMotifs(Delta(req.DeltaSeconds)), s.cfg.Workers, q.Full)
-	msp.End()
-	if err != nil {
-		WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.front.RetryAfter()))
-		return
-	}
-	out := &ProfileResponse{}
-	for _, c := range counts {
-		e := ProfileEntry{
-			Motif:     c.Motif.Name,
-			Spec:      c.Motif.String(),
-			Count:     c.Count,
-			Density:   c.Density,
-			Truncated: c.Truncated,
-		}
-		if c.Truncated {
-			e.StopReason = c.StopReason.String()
-		}
-		out.Profile = append(out.Profile, e)
-	}
-	s.front.Reply(w, q, out, req.Explain, false)
+	s.serve(w, q, job{span: "mine.profile", shed: "profile", dataset: req.Dataset, explain: req.Explain,
+		query: mint.Query{Motifs: mint.EvaluationMotifs(Delta(req.DeltaSeconds)), Budget: q.Full},
+		reply: func(g *mint.Graph, res mint.Result) any {
+			out := &ProfileResponse{}
+			for _, c := range mint.ProfileOf(g, res) {
+				e := ProfileEntry{Motif: c.Motif.Name, Spec: c.Motif.String(), Count: c.Count, Density: c.Density, Truncated: c.Truncated}
+				if c.Truncated {
+					e.StopReason = c.StopReason.String()
+				}
+				out.Profile = append(out.Profile, e)
+			}
+			return out
+		},
+	})
 }
 
 // handleDatasetInfo reports the shape, time extent, and identity

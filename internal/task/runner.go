@@ -50,7 +50,7 @@ func RunCtl(g *temporal.Graph, m *temporal.Motif, workers int, ctl *runctl.Contr
 // (nil disables observability at zero cost — see obs.go for the names).
 func RunCtlObs(g *temporal.Graph, m *temporal.Motif, workers int, ctl *runctl.Controller, reg *obs.Registry) (QueueResult, error) {
 	if workers < 1 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	plan := ctl.FaultPlan()
 	var next atomic.Int64
@@ -259,7 +259,7 @@ func RunQueueCtl(g *temporal.Graph, m *temporal.Motif, workers, contexts int, ct
 // reg disables all of it.
 func RunQueueCtlObs(g *temporal.Graph, m *temporal.Motif, workers, contexts int, ctl *runctl.Controller, reg *obs.Registry) (QueueResult, error) {
 	if workers < 1 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if contexts < 1 {
 		contexts = workers * 4

@@ -3,6 +3,7 @@ package engines
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"mint"
 	"mint/internal/comine"
@@ -21,10 +22,11 @@ import (
 // differential harness drives them all from one table and diffs the
 // results against the brute-force oracle.
 //
-// Every production entry point of the root package sits in the table
-// too — enumeration, the supervised miner and the fallback ladder — so a
-// request path that diverges from the engines it wraps is caught by
-// construction, not by luck.
+// Every production shape of mint.Query sits in the table too —
+// enumeration, the supervised miner, the fallback ladder, a one-motif
+// batch and a root window split in two — so a request path that
+// diverges from the engines it wraps is caught by construction, not by
+// luck.
 type Engine struct {
 	// Name identifies the engine in test output, e.g. "mackey/parallel-4".
 	Name string
@@ -40,7 +42,7 @@ type Engine struct {
 // workers, the co-miner on one-motif plans, the synchronous and
 // queue-mediated task runtimes (pooled contexts, worker-local caches),
 // the cycle-level simulator's functional counts, and the root package's
-// enumerate, supervised and fallback entry points.
+// Query shapes.
 func Engines() []Engine {
 	engines := []Engine{
 		{Name: "mackey/reference", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
@@ -51,22 +53,34 @@ func Engines() []Engine {
 		}},
 		{Name: "mint/enumerate", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
 			var visits int64
-			mint.EnumerateCtx(context.Background(), g, m, mint.Budget{}, func([]int32) { visits++ })
-			return visits, nil
+			_, err := mint.Run(context.Background(), g, mint.Query{Motif: m, Visit: func([]int32) { visits++ }})
+			return visits, err
 		}},
 		{Name: "mint/supervised-4", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
-			res, err := mint.CountSupervisedCtx(context.Background(), g, m, 4, mint.Budget{}, mint.SupervisorConfig{}, nil)
-			if err == nil && res.Truncated {
-				err = fmt.Errorf("supervised run truncated: %v", res.StopReason)
-			}
-			return res.Matches, err
+			return exact(mint.Run(context.Background(), g, mint.Query{Motif: m, Workers: 4, Supervisor: &mint.SupervisorConfig{}}))
 		}},
 		{Name: "mint/fallback", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
-			res, err := mint.CountWithFallback(context.Background(), g, m, mint.FallbackConfig{})
-			if err == nil && res.Engine != mint.EngineExact {
-				err = fmt.Errorf("unlimited fallback answered by engine %q, want %q", res.Engine, mint.EngineExact)
+			return exact(mint.Run(context.Background(), g, mint.Query{Motif: m, Fallback: &mint.ApproxConfig{}}))
+		}},
+		{Name: "mint/batch-solo", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
+			return exact(mint.Run(context.Background(), g, mint.Query{Motifs: []*temporal.Motif{m}}))
+		}},
+		{Name: "mint/roots-split", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
+			// Two root windows split at the median edge time partition
+			// the instances: their counts must sum to the whole.
+			var mid temporal.Timestamp
+			if n := g.NumEdges(); n > 0 {
+				mid = g.Edges[n/2].Time
 			}
-			return res.ExactPartial, err
+			var sum int64
+			for _, w := range []mint.RootWindow{{Start: math.MinInt64, End: mid}, {Start: mid, End: math.MaxInt64}} {
+				n, err := exact(mint.Run(context.Background(), g, mint.Query{Motif: m, Roots: &w}))
+				if err != nil {
+					return 0, err
+				}
+				sum += n
+			}
+			return sum, nil
 		}},
 		{Name: "mackey/memo", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
 			return mackey.MineMemo(g, m, mackey.Options{}).Matches, nil
@@ -116,4 +130,13 @@ func Engines() []Engine {
 			}})
 	}
 	return engines
+}
+
+// exact reads an unbudgeted Run as an exact count: anything but the
+// exact engine answering is an error.
+func exact(res mint.Result, err error) (int64, error) {
+	if err == nil && res.Engine != mint.EngineExact {
+		err = fmt.Errorf("unbudgeted run answered by engine %q (%v), want %q", res.Engine, res.StopReason, mint.EngineExact)
+	}
+	return res.Matches, err
 }

@@ -35,31 +35,25 @@ func MotifLibrary(delta Timestamp) []*Motif { return temporal.Library(delta) }
 // (§II-B, citing Tu et al.), and per-node variants serve as features for
 // temporal graph learning. Counting co-mines the whole set (same-δ
 // motifs share one traversal, see CountManyCtx); workers < 1 means
-// GOMAXPROCS. Profile is ProfileCtx with no cancellation or budget; it
-// panics on a worker failure (the historical behavior).
+// GOMAXPROCS. Profile has no cancellation or budget and panics on a
+// worker failure; Run a Query over the motif set and read it with
+// ProfileOf for a bounded profile.
 func Profile(g *Graph, motifs []*Motif, workers int) []MotifCount {
-	out, err := ProfileCtx(context.Background(), g, motifs, workers, Budget{})
+	res, err := Run(context.Background(), g, Query{Motifs: motifs, Workers: workers})
 	if err != nil {
 		panic(err)
 	}
-	return out
+	return ProfileOf(g, res)
 }
 
-// ProfileCtx is Profile bounded by a context and ONE shared budget:
-// the whole fingerprint is produced by a single co-mined run
-// (CountManyCtx), so a MaxNodes or Deadline cap bounds the profile as
-// a whole — not each motif separately, as the pre-co-mining profiler
-// did. Motifs cut short are marked Truncated with their exact partial
-// counts — fingerprints stay usable as lower bounds — and once the
-// shared controller stops, the remaining motif groups return
-// immediately, each marked Truncated. A worker failure aborts the
-// profile and returns the error alongside the counts accumulated so
-// far.
-func ProfileCtx(ctx context.Context, g *Graph, motifs []*Motif, workers int, b Budget) ([]MotifCount, error) {
-	res, err := CountManyCtx(ctx, g, motifs, workers, b)
-	out := make([]MotifCount, len(res.PerMotif))
+// ProfileOf reads a motif-set Run as a fingerprint over g: one row per
+// motif with its density. ONE budget bounds the whole set, so a stopped
+// run marks the motifs of the stopped (and not-yet-run) δ-groups
+// Truncated, their counts exact lower bounds.
+func ProfileOf(g *Graph, res Result) []MotifCount {
+	out := make([]MotifCount, len(res.Batch.PerMotif))
 	perK := 1000.0 / float64(max(1, g.NumEdges()))
-	for i, pm := range res.PerMotif {
+	for i, pm := range res.Batch.PerMotif {
 		out[i] = MotifCount{
 			Motif:      pm.Motif,
 			Count:      pm.Matches,
@@ -68,7 +62,7 @@ func ProfileCtx(ctx context.Context, g *Graph, motifs []*Motif, workers int, b B
 			StopReason: pm.StopReason,
 		}
 	}
-	return out, err
+	return out
 }
 
 // FingerprintDistance compares two motif fingerprints (over the same motif

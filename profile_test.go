@@ -172,7 +172,7 @@ func TestProfileCtxBudgetTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	motifs := MotifLibrary(DeltaHour)
-	full, err := ProfileCtx(context.Background(), g, motifs, 2, Budget{})
+	full, err := profileCtx(context.Background(), g, motifs, 2, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestProfileCtxBudgetTruncation(t *testing.T) {
 		}
 	}
 
-	tiny, err := ProfileCtx(context.Background(), g, motifs, 2, Budget{MaxNodes: 1})
+	tiny, err := profileCtx(context.Background(), g, motifs, 2, Budget{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestProfileCtxBudgetTruncation(t *testing.T) {
 	// A dead context truncates every motif without erroring.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dead, err := ProfileCtx(ctx, g, motifs, 2, Budget{})
+	dead, err := profileCtx(ctx, g, motifs, 2, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestProfileSharedBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	motifs := []*Motif{M1(DeltaHour), M2(DeltaHour), M1(DeltaHour / 2)}
-	full, err := ProfileCtx(context.Background(), g, motifs, 2, Budget{})
+	full, err := profileCtx(context.Background(), g, motifs, 2, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestProfileSharedBudget(t *testing.T) {
 		}
 	}
 
-	capped, err := ProfileCtx(context.Background(), g, motifs, 2, Budget{MaxNodes: 1})
+	capped, err := profileCtx(context.Background(), g, motifs, 2, Budget{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,4 +290,11 @@ func TestCountManyMatchesSingleRuns(t *testing.T) {
 	if res.SharedExpansions == 0 {
 		t.Error("co-mined M1-M4 reported zero shared expansions")
 	}
+}
+
+// profileCtx is the bounded profile: one budgeted motif-set Run read as
+// a fingerprint.
+func profileCtx(ctx context.Context, g *Graph, motifs []*Motif, workers int, b Budget) ([]MotifCount, error) {
+	res, err := Run(ctx, g, Query{Motifs: motifs, Workers: workers, Budget: b})
+	return ProfileOf(g, res), err
 }

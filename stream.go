@@ -598,27 +598,13 @@ func (s *Stream) integrateLocked(ctx context.Context) error {
 		for i, q := range reseed {
 			motifs[i] = q.motif
 		}
-		res, err := CountManyOpts(ctx, newG, motifs, BatchOptions{
-			Workers: s.opts.Workers,
-			Obs:     s.opts.Obs,
-			Chaos:   s.opts.Chaos,
-		}, s.opts.IntegrateBudget)
+		counts, err := s.mineExact(ctx, "reseed", newG, motifs, nil)
 		if err != nil {
 			s.markStaleLocked(err.Error())
 			return err
 		}
-		if res.Truncated {
-			err := fmt.Errorf("mint: reseed mine truncated: %v", res.StopReason)
-			s.markStaleLocked(err.Error())
-			return err
-		}
-		for i, pm := range res.PerMotif {
-			if pm.Truncated {
-				err := fmt.Errorf("mint: reseed mine truncated: %v", pm.StopReason)
-				s.markStaleLocked(err.Error())
-				return err
-			}
-			commits = append(commits, folded{q: reseed[i], count: pm.Matches})
+		for i, c := range counts {
+			commits = append(commits, folded{q: reseed[i], count: c})
 		}
 	}
 	for delta, qs := range groups {
@@ -653,26 +639,7 @@ func (s *Stream) integrateLocked(ctx context.Context) error {
 			if w != nil && w.Start >= w.End {
 				return make([]int64, len(motifs)), nil
 			}
-			res, err := CountManyOpts(ctx, g, motifs, BatchOptions{
-				Workers: s.opts.Workers,
-				Obs:     s.opts.Obs,
-				Chaos:   s.opts.Chaos,
-				Roots:   w,
-			}, s.opts.IntegrateBudget)
-			if err != nil {
-				return nil, err
-			}
-			if res.Truncated {
-				return nil, fmt.Errorf("mint: integration mine truncated: %v", res.StopReason)
-			}
-			out := make([]int64, len(res.PerMotif))
-			for i, pm := range res.PerMotif {
-				if pm.Truncated {
-					return nil, fmt.Errorf("mint: integration mine truncated: %v", pm.StopReason)
-				}
-				out[i] = pm.Matches
-			}
-			return out, nil
+			return s.mineExact(ctx, "integration", g, motifs, w)
 		}
 
 		// A: instances of the old graph rooted in the evicted window. When
@@ -738,6 +705,34 @@ func (s *Stream) integrateLocked(ctx context.Context) error {
 	return nil
 }
 
+// mineExact co-mines motifs over g (rooted in w when set) under the
+// integration budget and refuses any truncated row: a standing count is
+// committed exact or not at all.
+func (s *Stream) mineExact(ctx context.Context, what string, g *Graph, motifs []*Motif, w *RootWindow) ([]int64, error) {
+	res, err := Run(ctx, g, Query{
+		Motifs:  motifs,
+		Roots:   w,
+		Workers: s.opts.Workers,
+		Budget:  s.opts.IntegrateBudget,
+		Chaos:   s.opts.Chaos,
+		Obs:     s.opts.Obs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if res.Truncated {
+		return nil, fmt.Errorf("mint: %s mine truncated: %v", what, res.StopReason)
+	}
+	out := make([]int64, len(motifs))
+	for i, pm := range res.Batch.PerMotif {
+		if pm.Truncated {
+			return nil, fmt.Errorf("mint: %s mine truncated: %v", what, pm.StopReason)
+		}
+		out[i] = pm.Matches
+	}
+	return out, nil
+}
+
 func (s *Stream) markStaleLocked(reason string) {
 	for _, q := range s.queries {
 		q.stale = true
@@ -767,16 +762,9 @@ func (s *Stream) Register(ctx context.Context, name string, motif *Motif) (Stand
 	if err := s.integrateLocked(ctx); err != nil {
 		return StandingCount{}, fmt.Errorf("mint: cannot register %q while integration is failing: %w", name, err)
 	}
-	res, err := CountManyOpts(ctx, s.countGraph, []*Motif{motif}, BatchOptions{
-		Workers: s.opts.Workers,
-		Obs:     s.opts.Obs,
-		Chaos:   s.opts.Chaos,
-	}, s.opts.IntegrateBudget)
+	counts, err := s.mineExact(ctx, "initial", s.countGraph, []*Motif{motif}, nil)
 	if err != nil {
-		return StandingCount{}, err
-	}
-	if res.Truncated || res.PerMotif[0].Truncated {
-		return StandingCount{}, fmt.Errorf("mint: initial mine for %q truncated (%v); not registering", name, res.StopReason)
+		return StandingCount{}, fmt.Errorf("mint: not registering %q: %w", name, err)
 	}
 	// Persist the registration before exposing it: an acked standing
 	// query must survive restart (and ship to followers) like any edge.
@@ -791,7 +779,7 @@ func (s *Stream) Register(ctx context.Context, name string, motif *Motif) (Stand
 	// integrateLocked above committed through the previous lastSeq and a
 	// standing record changes no edges, so the counts are exact here too.
 	s.integratedSeq = rec.Seq
-	q := &standingQuery{name: name, motif: motif, count: res.PerMotif[0].Matches, seeded: true}
+	q := &standingQuery{name: name, motif: motif, count: counts[0], seeded: true}
 	s.queries[name] = q
 	s.opts.Obs.Gauge("stream.standing_queries").Set(int64(len(s.queries)))
 	return s.standingLocked(q), nil
