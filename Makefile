@@ -1,12 +1,13 @@
 # Tier-1 verification for the Mint reproduction. `make tier1` is the
-# gate every PR must keep green: build, vet, the full test suite, and the
-# race-enabled run of the concurrent miners.
+# gate every change must keep green: build, vet, the full test suite, the
+# race-enabled run of the concurrent miners, and the serving benchmark's
+# own module.
 
 GO ?= go
 
-.PHONY: tier1 build vet test race fuzz bench bench-report bench-compare serve-check
+.PHONY: tier1 build vet test race mintbench-check fuzz bench bench-report bench-compare serve-check
 
-tier1: build vet test race
+tier1: build vet test race mintbench-check
 
 build:
 	$(GO) build ./...
@@ -21,6 +22,13 @@ test:
 # (TestAblationDirections alone ~11), past go test's 10-minute default.
 race:
 	$(GO) test -race -timeout 25m ./...
+
+# mintbench is its own Go module, so `./...` above never compiles it: vet
+# and test it here so a change to the root API cannot break the serving
+# benchmark unnoticed.
+mintbench-check:
+	$(GO) -C mintbench vet ./...
+	$(GO) -C mintbench test .
 
 # Serving-layer verification: the full mintd suite under -race —
 # admission/breaker/registry units, endpoint contracts, the chaos soak
@@ -65,7 +73,9 @@ bench-report:
 # kept as the fixed reference, on M1–M4 over a seeded Table I dataset
 # sample; rewrites BENCH_hotpath.json with ns/op and allocs/op for both
 # sides plus the co-mining row (one co-mined M1–M4 pass vs four
-# sequential per-motif runs). Run this to refresh the committed
-# reference after deliberate hot-path changes.
+# sequential per-motif runs) and the leaf-heavy rows (M4, and the
+# co-mined M1–M4 pass vs four Algorithm 1 runs, on the wiki-talk
+# sample). Run this to refresh the committed reference after deliberate
+# hot-path changes.
 bench-compare:
 	$(GO) run ./cmd/benchreport -hotpath -out BENCH_hotpath.json

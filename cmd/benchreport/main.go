@@ -19,9 +19,13 @@
 // ns/op, B/op, and allocs/op for both sides plus per-motif speedups. The
 // two sides run in hotpathRounds interleaved rounds, and a speedup is the
 // median of the per-round ratios, so a noisy neighbour that slows one
-// round moves both sides of that round rather than one side's total. With
-// -check it instead compares a fresh measurement against the committed
-// BENCH_hotpath.json and exits non-zero when any motif's speedup
+// round moves both sides of that round rather than one side's total. A
+// second, leaf-heavy sample guards the executor where most tree nodes are
+// complete matches: M4 and the co-mined M1–M4 set (against four Algorithm
+// 1 runs) on the wiki-talk sample the serving benchmark's heavy batch
+// mines (scale 0.01, nodes scaled with edges). With -check it instead
+// compares a fresh measurement against the committed BENCH_hotpath.json
+// and exits non-zero when any motif's or leaf-heavy row's speedup
 // regressed by more than 10% — speedup ratios, not absolute ns/op, so the
 // guard is machine-independent.
 //
@@ -79,7 +83,14 @@ type benchReport struct {
 
 // hotpathSchema names the BENCH_hotpath.json layout; -check refuses a
 // committed report of any other layout, whose ratios measure something else.
-const hotpathSchema = "mint.bench_hotpath/v2"
+const hotpathSchema = "mint.bench_hotpath/v3"
+
+// The leaf-heavy sample: the wiki-talk graph of the serving benchmark's
+// heavy batch, where M4's search trees are mostly leaves.
+const (
+	leafDataset = "wiki-talk"
+	leafScale   = 0.01
+)
 
 // hotpathRow is one motif's executor-vs-Algorithm-1 measurement.
 type hotpathRow struct {
@@ -92,6 +103,16 @@ type hotpathRow struct {
 	ExecutorAllocsOp  int64   `json:"executor_allocs_per_op"`
 	ReferenceBytesOp  int64   `json:"reference_bytes_per_op"`
 	ExecutorBytesOp   int64   `json:"executor_bytes_per_op"`
+}
+
+// leafHeavy is the leaf-heavy sample's rows: M4 and the co-mined M1–M4
+// set, each against Algorithm 1 (four runs for the set).
+type leafHeavy struct {
+	Dataset    string       `json:"dataset"`
+	Scale      float64      `json:"scale"`
+	GraphNodes int          `json:"graph_nodes"`
+	GraphEdges int          `json:"graph_edges"`
+	Rows       []hotpathRow `json:"benchmarks"`
 }
 
 // comineRow is the co-mining measurement: ONE co-mined pass over the
@@ -119,6 +140,7 @@ type hotpathReport struct {
 	Rows           []hotpathRow `json:"benchmarks"`
 	GeomeanSpeedup float64      `json:"geomean_speedup"`
 	Comine         *comineRow   `json:"comine,omitempty"`
+	LeafHeavy      *leafHeavy   `json:"leaf_heavy,omitempty"`
 }
 
 func main() {
@@ -228,28 +250,13 @@ func measureHotpath(dataset string, scale float64) (hotpathReport, error) {
 	}
 	logSpeedup := 0.0
 	for _, m := range temporal.EvaluationMotifs(temporal.DeltaHour) {
-		var res mackey.Result
-		ref, exe := interleave(func() {
-			res = mackey.MineAlgorithm1(g, m, mackey.Options{})
-		}, func() {
-			res = mackey.Mine(g, m, mackey.Options{})
+		row := executorRow(m.Name, func() int64 {
+			return mackey.MineAlgorithm1(g, m, mackey.Options{}).Matches
+		}, func() int64 {
+			return mackey.Mine(g, m, mackey.Options{}).Matches
 		})
-		row := hotpathRow{
-			Motif:             m.Name,
-			Matches:           res.Matches,
-			ReferenceNsOp:     ref.ns,
-			ExecutorNsOp:      exe.ns,
-			Speedup:           ref.ratio,
-			ReferenceAllocsOp: ref.allocs,
-			ExecutorAllocsOp:  exe.allocs,
-			ReferenceBytesOp:  ref.bytes,
-			ExecutorBytesOp:   exe.bytes,
-		}
 		logSpeedup += math.Log(row.Speedup)
 		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("%-4s algorithm1 %10d ns/op %5d allocs/op   executor %10d ns/op %5d allocs/op   speedup %.2fx   matches %d\n",
-			row.Motif, row.ReferenceNsOp, row.ReferenceAllocsOp,
-			row.ExecutorNsOp, row.ExecutorAllocsOp, row.Speedup, row.Matches)
 	}
 	rep.GeomeanSpeedup = math.Exp(logSpeedup / float64(len(rep.Rows)))
 	fmt.Printf("geomean speedup: %.2fx\n", rep.GeomeanSpeedup)
@@ -258,7 +265,80 @@ func measureHotpath(dataset string, scale float64) (hotpathReport, error) {
 		return rep, err
 	}
 	rep.Comine = &cr
+	lh, err := measureLeafHeavy()
+	if err != nil {
+		return rep, err
+	}
+	rep.LeafHeavy = &lh
 	return rep, nil
+}
+
+// executorRow A/B-benchmarks a reference run against an executor run,
+// each returning its match count.
+func executorRow(name string, reference, executor func() int64) hotpathRow {
+	var matches int64
+	ref, exe := interleave(func() { matches = reference() }, func() { matches = executor() })
+	row := hotpathRow{
+		Motif:             name,
+		Matches:           matches,
+		ReferenceNsOp:     ref.ns,
+		ExecutorNsOp:      exe.ns,
+		Speedup:           ref.ratio,
+		ReferenceAllocsOp: ref.allocs,
+		ExecutorAllocsOp:  exe.allocs,
+		ReferenceBytesOp:  ref.bytes,
+		ExecutorBytesOp:   exe.bytes,
+	}
+	fmt.Printf("%-4s algorithm1 %10d ns/op %5d allocs/op   executor %10d ns/op %5d allocs/op   speedup %.2fx   matches %d\n",
+		row.Motif, row.ReferenceNsOp, row.ReferenceAllocsOp,
+		row.ExecutorNsOp, row.ExecutorAllocsOp, row.Speedup, row.Matches)
+	return row
+}
+
+// measureLeafHeavy benchmarks the leaf-heavy sample: M4 alone, and the
+// co-mined M1–M4 pass against four Algorithm 1 runs. Both sides are
+// single-threaded.
+func measureLeafHeavy() (leafHeavy, error) {
+	spec, err := datasets.ByName(leafDataset)
+	if err != nil {
+		return leafHeavy{}, err
+	}
+	g, err := datasets.Generate(spec, leafScale)
+	if err != nil {
+		return leafHeavy{}, err
+	}
+	motifs := temporal.EvaluationMotifs(temporal.DeltaHour)
+	plan, err := comine.PlanSet(motifs)
+	if err != nil {
+		return leafHeavy{}, err
+	}
+	lh := leafHeavy{Dataset: spec.Name, Scale: leafScale, GraphNodes: g.NumNodes(), GraphEdges: g.NumEdges()}
+	fmt.Printf("leaf-heavy sample: %s at scale %g (%d nodes, %d edges)\n", spec.Name, leafScale, g.NumNodes(), g.NumEdges())
+	m4 := motifs[3]
+	lh.Rows = append(lh.Rows, executorRow(m4.Name, func() int64 {
+		return mackey.MineAlgorithm1(g, m4, mackey.Options{}).Matches
+	}, func() int64 {
+		return mackey.Mine(g, m4, mackey.Options{}).Matches
+	}))
+	var mineErr error
+	lh.Rows = append(lh.Rows, executorRow("comine", func() int64 {
+		var n int64
+		for _, m := range motifs {
+			n += mackey.MineAlgorithm1(g, m, mackey.Options{}).Matches
+		}
+		return n
+	}, func() int64 {
+		res, err := comine.MineCtx(context.Background(), g, plan, comine.Options{Workers: 1}, runctl.Budget{})
+		if err != nil {
+			mineErr = err
+		}
+		var n int64
+		for _, pm := range res.PerMotif {
+			n += pm.Matches
+		}
+		return n
+	}))
+	return lh, mineErr
 }
 
 // measureComine A/B-benchmarks the profile workload: four sequential
@@ -368,6 +448,9 @@ func runHotpath(out, dataset string, scale float64, check bool) error {
 	if committed.Schema != hotpathSchema {
 		return fmt.Errorf("benchreport: %s has schema %q, want %q (regenerate with -hotpath)", out, committed.Schema, hotpathSchema)
 	}
+	if committed.LeafHeavy == nil {
+		return fmt.Errorf("benchreport: %s has no leaf_heavy rows (regenerate with -hotpath)", out)
+	}
 	if committed.Dataset != "" {
 		dataset = committed.Dataset
 	}
@@ -380,27 +463,31 @@ func runHotpath(out, dataset string, scale float64, check bool) error {
 	}
 	const tolerance = 0.9 // >10% speedup regression fails
 	failed := false
-	for _, fr := range fresh.Rows {
-		for _, cr := range committed.Rows {
-			if cr.Motif != fr.Motif {
-				continue
-			}
-			floor := cr.Speedup * tolerance
-			if fr.Speedup < floor {
-				failed = true
-				fmt.Fprintf(os.Stderr, "REGRESSION %s: speedup %.2fx < %.2fx (committed %.2fx - 10%%)\n",
-					fr.Motif, fr.Speedup, floor, cr.Speedup)
-			} else {
-				fmt.Printf("ok %s: speedup %.2fx (committed %.2fx, floor %.2fx)\n",
-					fr.Motif, fr.Speedup, cr.Speedup, floor)
-			}
-			if fr.ExecutorAllocsOp > cr.ExecutorAllocsOp {
-				failed = true
-				fmt.Fprintf(os.Stderr, "REGRESSION %s: %d allocs/op in the executor (committed %d)\n",
-					fr.Motif, fr.ExecutorAllocsOp, cr.ExecutorAllocsOp)
+	checkRows := func(sample string, fresh, committed []hotpathRow) {
+		for _, fr := range fresh {
+			for _, cr := range committed {
+				if cr.Motif != fr.Motif {
+					continue
+				}
+				floor := cr.Speedup * tolerance
+				if fr.Speedup < floor {
+					failed = true
+					fmt.Fprintf(os.Stderr, "REGRESSION %s%s: speedup %.2fx < %.2fx (committed %.2fx - 10%%)\n",
+						sample, fr.Motif, fr.Speedup, floor, cr.Speedup)
+				} else {
+					fmt.Printf("ok %s%s: speedup %.2fx (committed %.2fx, floor %.2fx)\n",
+						sample, fr.Motif, fr.Speedup, cr.Speedup, floor)
+				}
+				if fr.ExecutorAllocsOp > cr.ExecutorAllocsOp {
+					failed = true
+					fmt.Fprintf(os.Stderr, "REGRESSION %s%s: %d allocs/op in the executor (committed %d)\n",
+						sample, fr.Motif, fr.ExecutorAllocsOp, cr.ExecutorAllocsOp)
+				}
 			}
 		}
 	}
+	checkRows("", fresh.Rows, committed.Rows)
+	checkRows("leaf-heavy ", fresh.LeafHeavy.Rows, committed.LeafHeavy.Rows)
 	if committed.Comine != nil && fresh.Comine != nil {
 		floor := committed.Comine.Speedup * tolerance
 		if fresh.Comine.Speedup < floor {

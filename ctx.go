@@ -35,7 +35,10 @@ func NewObsRegistry(name string) *ObsRegistry { return obs.New(name) }
 
 // Budget bounds the resources a mining run may consume: a wall-clock
 // Deadline, a MaxMatches cap, and a MaxNodes cap on expanded search-tree
-// nodes. The zero Budget is unlimited.
+// nodes. The zero Budget is unlimited. A counting run tallies each leaf
+// scan's matches in one step, so a deadline, cancel or MaxNodes stop
+// lands after the current leaf scan, not after the current match;
+// MaxMatches stays exact per match.
 type Budget = runctl.Budget
 
 // StopReason says why a truncated run stopped.

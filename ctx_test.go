@@ -73,6 +73,32 @@ func TestEnumerateCtxMaxMatches(t *testing.T) {
 	}
 }
 
+// TestEnumerateAllocsFlat: the visit slice is one reused buffer, so
+// streaming 1,000 matches allocates exactly what streaming 10 does.
+func TestEnumerateAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled workers at random under -race")
+	}
+	g, m := denseTestGraph()
+	if n := Count(g, m); n < 1000 {
+		t.Fatalf("test graph too sparse: %d matches", n)
+	}
+	allocs := func(n int64) float64 {
+		var seen int64
+		visit := func([]int32) { seen++ }
+		a := testing.AllocsPerRun(50, func() {
+			EnumerateCtx(context.Background(), g, m, Budget{MaxMatches: n}, visit)
+		})
+		if want := 51 * n; seen != want {
+			t.Fatalf("streamed %d matches over 51 runs, want %d", seen, want)
+		}
+		return a
+	}
+	if few, many := allocs(10), allocs(1000); few != many {
+		t.Fatalf("EnumerateCtx allocates %.0f per run at 10 matches, %.0f at 1,000", few, many)
+	}
+}
+
 func TestCountTaskQueueCtxTruncates(t *testing.T) {
 	g, m := denseTestGraph()
 	res, err := task.RunQueueCtl(g, m, 4, 16,

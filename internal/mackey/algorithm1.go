@@ -35,6 +35,7 @@ type algo1 struct {
 	g2m    []temporal.NodeID
 	eCount []int32
 	eStack []temporal.EdgeID
+	match  []int32 // the reused slice Probe.Match receives
 
 	// wc memoizes per-node filter bounds (see worker.wc).
 	wc temporal.WindowCache
@@ -96,7 +97,8 @@ func (a *algo1) run() {
 				// Leaf of the search tree: a complete motif (line 44–45).
 				a.stats.Matches++
 				if a.opts.Probe != nil {
-					a.opts.Probe.Match(edgeIDsAsInt32(a.eStack))
+					a.match = edgeIDsAsInt32(a.match, a.eStack)
+					a.opts.Probe.Match(a.match)
 				}
 				if a.opts.Ctl.MatchBudgeted() {
 					a.checkpoint()

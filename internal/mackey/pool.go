@@ -49,6 +49,7 @@ func acquireWorker(g *temporal.Graph, m *temporal.Motif, t *Trie, opts Options) 
 	w.sinceCheck = 0
 	w.stopped = false
 	w.flushedMatches = 0
+	w.countLeaves = opts.Probe == nil && opts.Memo == nil && !opts.Ctl.MatchBudgeted()
 	return w
 }
 

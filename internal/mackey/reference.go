@@ -14,7 +14,8 @@ import (
 
 // Options configures a mining run.
 type Options struct {
-	// Probe receives fine-grained events; may be nil.
+	// Probe receives fine-grained events; may be nil. A Probe sees every
+	// match, so it turns off bulk leaf counting (worker.countLeaves).
 	Probe Probe
 
 	// Memo enables software search index memoization using the given
@@ -169,6 +170,14 @@ type worker struct {
 
 	counts []int64 // matches per trie motif, indexed like Node.Terminal
 	shared int64   // expansions at trie nodes with Passing > 1
+
+	// countLeaves makes expand count the matches of a childless trie node
+	// instead of visiting each one. It holds when no match is observed
+	// one by one: no Probe, no match budget, and no memo table (the memo
+	// baseline stays the paper's per-match CPU miner).
+	countLeaves bool
+	// match is the reused slice Probe.Match receives.
+	match []int32
 
 	// path, kids and solo hold the one-path trie of a single-motif run
 	// (see loadMotif), reused across runs.
@@ -328,13 +337,15 @@ func (w *worker) fork(children []*Node, last temporal.EdgeID, deadline temporal.
 }
 
 // report hands the matches completing at n to the probe, one call per
-// terminal motif, and polls the controller eagerly under a match budget
-// so the sequential miner stops after exactly MaxMatches matches. It
-// reports whether the run has stopped.
+// terminal motif in the worker's reused match buffer, and polls the
+// controller eagerly under a match budget so the sequential miner stops
+// after exactly MaxMatches matches. It reports whether the run has
+// stopped.
 func (w *worker) report(n *Node) bool {
 	if w.opts.Probe != nil {
 		for range n.Terminal {
-			w.opts.Probe.Match(edgeIDsAsInt32(w.seq[:n.Depth]))
+			w.match = edgeIDsAsInt32(w.match, w.seq[:n.Depth])
+			w.opts.Probe.Match(w.match)
 		}
 	}
 	if w.opts.Ctl.MatchBudgeted() {
@@ -348,9 +359,13 @@ func (w *worker) report(n *Node) bool {
 // recursive equivalent of the paper's FindNextMatchingEdge +
 // UpdateDataStructures + backtracking loop, specialized into one
 // candidate loop per neighborhood shape (Algorithm 1 lines 31–37) so the
-// structural check and endpoint rebinding are inlined.
+// structural check and endpoint rebinding are inlined. A childless n in
+// a counting run is a leaf scan: its successes are counted, not bound and
+// visited, and charged once after the scan (chargeLeaves).
 func (w *worker) expand(n *Node, last temporal.EdgeID, deadline temporal.Timestamp) {
 	w.stats.SearchTasks++
+	leaf := w.countLeaves && len(n.Children) == 0
+	k := 0 // leaf matches counted by the scan
 	me := n.Edge
 	uG := w.m2g[me.Src]
 	vG := w.m2g[me.Dst]
@@ -375,6 +390,10 @@ func (w *worker) expand(n *Node, last temporal.EdgeID, deadline temporal.Timesta
 				if e.Dst != vG {
 					continue
 				}
+				if leaf {
+					k++
+					continue
+				}
 				w.visit(n, id, deadline)
 			}
 			w.chargeScan(i - start)
@@ -390,6 +409,10 @@ func (w *worker) expand(n *Node, last temporal.EdgeID, deadline temporal.Timesta
 					break
 				}
 				if e.Src != uG {
+					continue
+				}
+				if leaf {
+					k++
 					continue
 				}
 				w.visit(n, id, deadline)
@@ -410,6 +433,10 @@ func (w *worker) expand(n *Node, last temporal.EdgeID, deadline temporal.Timesta
 				break
 			}
 			if w.g2m[e.Dst] != temporal.InvalidNode {
+				continue
+			}
+			if leaf {
+				k++
 				continue
 			}
 			w.bind(me.Dst, e.Dst)
@@ -433,6 +460,10 @@ func (w *worker) expand(n *Node, last temporal.EdgeID, deadline temporal.Timesta
 			if w.g2m[e.Src] != temporal.InvalidNode {
 				continue
 			}
+			if leaf {
+				k++
+				continue
+			}
 			w.bind(me.Src, e.Src)
 			w.visit(n, id, deadline)
 			w.unbind(me.Src, e.Src)
@@ -440,16 +471,39 @@ func (w *worker) expand(n *Node, last temporal.EdgeID, deadline temporal.Timesta
 		w.chargeScan(i - start)
 
 	default:
-		w.expandUnanchored(n, last, deadline)
+		k = w.expandUnanchored(n, leaf, last, deadline)
+	}
+	if k > 0 {
+		w.chargeLeaves(n, k)
 	}
 	w.stats.BacktrackTasks++
+}
+
+// chargeLeaves records k matches of the leaf n in one charge: exactly
+// what k visits of n record in a run that does not stop during them. A
+// deadline, cancel or node-budget stop is therefore seen after the leaf
+// scan rather than after the match that crossed it.
+func (w *worker) chargeLeaves(n *Node, k int) {
+	w.stats.BookkeepTasks += int64(k)
+	if n.Passing > 1 {
+		w.shared += int64(k)
+	}
+	for _, idx := range n.Terminal {
+		w.counts[idx] += int64(k)
+	}
+	w.stats.Matches += int64(k * len(n.Terminal))
+	w.sinceCheck += int32(k)
+	if w.sinceCheck >= runctl.CheckInterval {
+		w.checkpoint()
+	}
 }
 
 // expandUnanchored is expand with neither endpoint mapped (Algorithm 1
 // line 37): the search space is the whole remaining edge list. Only
 // reachable for motifs whose edge sequence is not connected-prefix; kept
 // for full generality, out of line so the anchored loops stay compact.
-func (w *worker) expandUnanchored(n *Node, last temporal.EdgeID, deadline temporal.Timestamp) {
+// On a leaf scan it returns the matches counted instead of visited.
+func (w *worker) expandUnanchored(n *Node, leaf bool, last temporal.EdgeID, deadline temporal.Timestamp) (k int) {
 	me := n.Edge
 	g := w.g
 	for id := int(last) + 1; id < g.NumEdges(); id++ {
@@ -465,12 +519,17 @@ func (w *worker) expandUnanchored(n *Node, last temporal.EdgeID, deadline tempor
 			w.g2m[e.Dst] != temporal.InvalidNode {
 			continue
 		}
+		if leaf {
+			k++
+			continue
+		}
 		w.bind(me.Src, e.Src)
 		w.bind(me.Dst, e.Dst)
 		w.visit(n, temporal.EdgeID(id), deadline)
 		w.unbind(me.Dst, e.Dst)
 		w.unbind(me.Src, e.Src)
 	}
+	return k
 }
 
 // chargeScan charges n candidate-edge examinations in one shot: a scan
@@ -520,10 +579,12 @@ func (w *worker) scanStart(list []temporal.EdgeID, out bool, node temporal.NodeI
 // maxTimestamp is the sentinel deadline before the first edge is matched.
 const maxTimestamp = temporal.Timestamp(math.MaxInt64)
 
-func edgeIDsAsInt32(seq []temporal.EdgeID) []int32 {
-	out := make([]int32, len(seq))
-	for i, id := range seq {
-		out[i] = int32(id)
+// edgeIDsAsInt32 copies seq into buf, reusing buf's storage when it is
+// large enough: the match slice a Probe receives.
+func edgeIDsAsInt32(buf []int32, seq []temporal.EdgeID) []int32 {
+	buf = buf[:0]
+	for _, id := range seq {
+		buf = append(buf, int32(id))
 	}
-	return out
+	return buf
 }

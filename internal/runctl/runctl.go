@@ -43,13 +43,18 @@ type Budget struct {
 	// MaxMatches stops the run once at least this many matches have been
 	// found; 0 means unlimited. The final count may overshoot slightly in
 	// parallel runs (each worker detects the limit at its next match).
+	// A match budget makes the miners visit every match, so the check
+	// stays per match.
 	MaxMatches int64
 
 	// MaxNodes stops the run once at least this many search-tree nodes
 	// have been expanded across all workers; 0 means unlimited. On the
 	// sequential path the truncation point is deterministic: the same
 	// budget always stops at the same expansion and yields the same
-	// partial count.
+	// partial count. Like a deadline or a cancel, the stop is seen at a
+	// checkpoint, and a counting run charges a trie leaf's whole scan at
+	// once, so it lands after the current leaf scan rather than after
+	// the current match.
 	MaxNodes int64
 }
 

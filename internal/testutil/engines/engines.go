@@ -39,10 +39,10 @@ type Engine struct {
 // axis of the engines: the sequential trie-walking miner, the
 // window-cached iterative miner, memoized runs (the memo table replaces
 // the window cache), the time-partitioned parallel miner at 1/4/8
-// workers, the co-miner on one-motif plans, the synchronous and
-// queue-mediated task runtimes (pooled contexts, worker-local caches),
-// the cycle-level simulator's functional counts, and the root package's
-// Query shapes.
+// workers counting leaves in bulk and at 4 visiting every match, the
+// co-miner on one-motif plans, the synchronous and queue-mediated task
+// runtimes (pooled contexts, worker-local caches), the cycle-level
+// simulator's functional counts, and the root package's Query shapes.
 func Engines() []Engine {
 	engines := []Engine{
 		{Name: "mackey/reference", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
@@ -109,7 +109,12 @@ func Engines() []Engine {
 	}
 	engines = append(engines, Engine{Name: "mackey/parallel-memo-8", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
 		return mackey.MineParallelMemo(g, m, mackey.Options{Workers: 8}).Matches, nil
-	}})
+	}},
+		// A probe makes every leaf match a visit: the per-match path that
+		// counting runs replace with one charge per leaf scan.
+		Engine{Name: "mackey/parallel-visit-4", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
+			return mackey.MineParallel(g, m, mackey.Options{Workers: 4, Probe: mackey.NopProbe{}}).Matches, nil
+		}})
 	// The co-miner as a single-motif engine: a one-motif plan exercises
 	// planning plus the canonical one-path trie walked by the mackey
 	// worker, end to end. Motif SETS get their own differential matrix

@@ -35,6 +35,11 @@ type Query struct {
 	// Workers is the run's parallelism; < 1 means GOMAXPROCS.
 	Workers int
 	// Budget bounds the exact run: a Deadline, MaxMatches and MaxNodes.
+	// Without Visit or MaxMatches the miner counts each trie leaf's
+	// matches in one step, so a deadline, cancel or MaxNodes stop lands
+	// after the current leaf scan rather than after the current match.
+	// Visit and MaxMatches keep the per-match path, and a MaxMatches stop
+	// is exact.
 	Budget Budget
 	// Fallback, when non-nil, degrades a truncated exact run to the PRESTO
 	// estimate under the remaining context (the zero config means
