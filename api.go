@@ -84,8 +84,9 @@ func LoadSNAPFile(path string) (*Graph, error) { return temporal.LoadSNAPFile(pa
 
 // Count returns the exact number of δ-temporal motif instances of m in g,
 // using the chronological edge-driven algorithm of Mackey et al. — the
-// algorithm Mint accelerates — on one worker. It is CountParallel with one
-// worker.
+// algorithm Mint accelerates — on one worker, even for a star motif that
+// Run would answer with a closed-form kernel. It is CountParallel with
+// one worker.
 func Count(g *Graph, m *Motif) int64 {
 	return CountParallel(g, m, 1)
 }

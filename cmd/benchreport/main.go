@@ -16,18 +16,22 @@
 // and stream fold runs on) against MineAlgorithm1, the paper's Algorithm 1
 // kept as the fixed reference, for M1–M4 on a seeded sample graph from
 // the Table I dataset generator, and writes BENCH_hotpath.json with
-// ns/op, B/op, and allocs/op for both sides plus per-motif speedups. The
-// two sides run in hotpathRounds interleaved rounds, and a speedup is the
-// median of the per-round ratios, so a noisy neighbour that slows one
-// round moves both sides of that round rather than one side's total. A
-// second, leaf-heavy sample guards the executor where most tree nodes are
-// complete matches: M4 and the co-mined M1–M4 set (against four Algorithm
-// 1 runs) on the wiki-talk sample the serving benchmark's heavy batch
-// mines (scale 0.01, nodes scaled with edges). With -check it instead
-// compares a fresh measurement against the committed BENCH_hotpath.json
-// and exits non-zero when any motif's or leaf-heavy row's speedup
-// regressed by more than 10% — speedup ratios, not absolute ns/op, so the
-// guard is machine-independent.
+// ns/op, B/op, allocs per run (testing.AllocsPerRun after a warm-up) and
+// matches for both sides plus per-motif speedups. The two sides run in
+// hotpathRounds interleaved rounds, and a speedup is the median of the
+// per-round ratios, so a noisy neighbour that slows one round moves both
+// sides of that round rather than one side's total. A second, leaf-heavy
+// sample guards the executor where most tree nodes are complete matches,
+// on the wiki-talk sample the serving benchmark's heavy batch mines
+// (scale 0.01, nodes scaled with edges): M4 on the executor, M4 on its
+// closed-form star kernel (mackey.MineStarCtx), and the co-mined M1–M4
+// set, whose M4 comine.MineCtx routes to the kernel (against four
+// Algorithm 1 runs). With -check it instead compares a fresh measurement
+// against the committed BENCH_hotpath.json and exits non-zero when any
+// motif's or leaf-heavy row's speedup regressed by more than 10% —
+// speedup ratios, not absolute ns/op, so the guard is
+// machine-independent — when its executor allocates more per run, or
+// when its match count differs.
 //
 // Usage:
 //
@@ -83,7 +87,7 @@ type benchReport struct {
 
 // hotpathSchema names the BENCH_hotpath.json layout; -check refuses a
 // committed report of any other layout, whose ratios measure something else.
-const hotpathSchema = "mint.bench_hotpath/v3"
+const hotpathSchema = "mint.bench_hotpath/v4"
 
 // The leaf-heavy sample: the wiki-talk graph of the serving benchmark's
 // heavy batch, where M4's search trees are mostly leaves.
@@ -105,8 +109,9 @@ type hotpathRow struct {
 	ExecutorBytesOp   int64   `json:"executor_bytes_per_op"`
 }
 
-// leafHeavy is the leaf-heavy sample's rows: M4 and the co-mined M1–M4
-// set, each against Algorithm 1 (four runs for the set).
+// leafHeavy is the leaf-heavy sample's rows: M4 on the executor, M4 on
+// the star kernel, and the routed co-mined M1–M4 set, each against
+// Algorithm 1 (four runs for the set).
 type leafHeavy struct {
 	Dataset    string       `json:"dataset"`
 	Scale      float64      `json:"scale"`
@@ -295,9 +300,9 @@ func executorRow(name string, reference, executor func() int64) hotpathRow {
 	return row
 }
 
-// measureLeafHeavy benchmarks the leaf-heavy sample: M4 alone, and the
-// co-mined M1–M4 pass against four Algorithm 1 runs. Both sides are
-// single-threaded.
+// measureLeafHeavy benchmarks the leaf-heavy sample: M4 on the
+// executor and on its star kernel, and the co-mined M1–M4 pass against
+// four Algorithm 1 runs. Both sides are single-threaded.
 func measureLeafHeavy() (leafHeavy, error) {
 	spec, err := datasets.ByName(leafDataset)
 	if err != nil {
@@ -320,7 +325,20 @@ func measureLeafHeavy() (leafHeavy, error) {
 	}, func() int64 {
 		return mackey.Mine(g, m4, mackey.Options{}).Matches
 	}))
+	star, ok := mackey.KernelFor(g, m4, mackey.Options{}, runctl.Budget{})
+	if !ok {
+		return lh, fmt.Errorf("benchreport: %s is not routed to a star kernel on %s", m4.Name, spec.Name)
+	}
 	var mineErr error
+	lh.Rows = append(lh.Rows, executorRow(m4.Name+"-kernel", func() int64 {
+		return mackey.MineAlgorithm1(g, m4, mackey.Options{}).Matches
+	}, func() int64 {
+		res, err := mackey.MineStarCtx(context.Background(), g, star, m4.Delta, mackey.Options{Workers: 1}, runctl.Budget{})
+		if err != nil {
+			mineErr = err
+		}
+		return res.Matches
+	}))
 	lh.Rows = append(lh.Rows, executorRow("comine", func() int64 {
 		var n int64
 		for _, m := range motifs {
@@ -345,7 +363,7 @@ func measureLeafHeavy() (leafHeavy, error) {
 // per-motif runs of the executor vs one co-mined pass over the
 // same set. The M1–M4 family shares its canonical (0→1) and (0→1,1→2)
 // prefixes, so the co-mined side skips the repeated prefix expansions a
-// per-motif sweep pays four times.
+// per-motif sweep pays four times, and it counts M4 with the star kernel.
 func measureComine(g *temporal.Graph) (comineRow, error) {
 	motifs := temporal.EvaluationMotifs(temporal.DeltaHour)
 	plan, err := comine.PlanSet(motifs)
@@ -382,12 +400,19 @@ func measureComine(g *temporal.Graph) (comineRow, error) {
 	return row, nil
 }
 
-// hotpathRounds is how many interleaved rounds interleave runs.
-const hotpathRounds = 5
+// hotpathRounds is how many interleaved rounds interleave runs;
+// allocRuns is how many runs testing.AllocsPerRun averages.
+const (
+	hotpathRounds = 5
+	allocRuns     = 5
+)
 
 // sideResult is one side of an interleaved A/B measurement: the median
-// round's ns/op, the worst round's allocs/op and B/op, and (on the A
-// side) the median over rounds of A's ns/op divided by B's.
+// round's ns/op, the worst round's B/op, allocs per run from
+// testing.AllocsPerRun after a warm-up run (a GC that empties the
+// worker pools during a timed round would add the refill to allocs/op),
+// and (on the A side) the median over rounds of A's ns/op divided by
+// B's.
 type sideResult struct {
 	ns, allocs, bytes int64
 	ratio             float64
@@ -409,10 +434,12 @@ func interleave(a, b func()) (ra, rb sideResult) {
 		aNs = append(aNs, float64(x.NsPerOp()))
 		bNs = append(bNs, float64(y.NsPerOp()))
 		ratios = append(ratios, float64(x.NsPerOp())/float64(y.NsPerOp()))
-		ra.allocs, ra.bytes = max(ra.allocs, x.AllocsPerOp()), max(ra.bytes, x.AllocedBytesPerOp())
-		rb.allocs, rb.bytes = max(rb.allocs, y.AllocsPerOp()), max(rb.bytes, y.AllocedBytesPerOp())
+		ra.bytes = max(ra.bytes, x.AllocedBytesPerOp())
+		rb.bytes = max(rb.bytes, y.AllocedBytesPerOp())
 	}
 	ra.ns, rb.ns, ra.ratio = int64(median(aNs)), int64(median(bNs)), median(ratios)
+	ra.allocs = int64(testing.AllocsPerRun(allocRuns, a))
+	rb.allocs = int64(testing.AllocsPerRun(allocRuns, b))
 	return ra, rb
 }
 
@@ -477,6 +504,11 @@ func runHotpath(out, dataset string, scale float64, check bool) error {
 				} else {
 					fmt.Printf("ok %s%s: speedup %.2fx (committed %.2fx, floor %.2fx)\n",
 						sample, fr.Motif, fr.Speedup, cr.Speedup, floor)
+				}
+				if fr.Matches != cr.Matches {
+					failed = true
+					fmt.Fprintf(os.Stderr, "REGRESSION %s%s: %d matches (committed %d)\n",
+						sample, fr.Motif, fr.Matches, cr.Matches)
 				}
 				if fr.ExecutorAllocsOp > cr.ExecutorAllocsOp {
 					failed = true

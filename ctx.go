@@ -83,12 +83,13 @@ type ApproxResult = presto.Result
 type GPUResult = gpumodel.Result
 
 // CountParallelCtx is CountParallel bounded by a context and a budget
-// (workers < 1 means GOMAXPROCS). A panicking worker converts into a
-// returned *PanicError instead of killing the process; the partial result
-// accompanies the error.
+// (workers < 1 means GOMAXPROCS). It always runs the Mackey trie
+// executor, never a closed-form kernel, so it is a reference Run's
+// routed answers can be checked against. A panicking worker converts
+// into a returned *PanicError instead of killing the process; the
+// partial result accompanies the error.
 func CountParallelCtx(ctx context.Context, g *Graph, m *Motif, workers int, b Budget) (MineResult, error) {
-	res, err := Run(ctx, g, Query{Motif: m, Workers: workers, Budget: b})
-	return res.MineResult, err
+	return mackey.MineParallelCtx(ctx, g, m, mackey.Options{Workers: workers}, b)
 }
 
 // EnumerateCtx is Enumerate bounded by a context and a budget. With

@@ -13,7 +13,8 @@ import (
 // Options configures a co-mining run. Each group is mined by
 // mackey.MineTrieCtx — the single-motif miners' own worker, chunk
 // scheduler, window-cached candidate scans, chaos site (mackey.chunk)
-// and cooperative runctl budget/cancellation contract.
+// and cooperative runctl budget/cancellation contract — and its routed
+// star members by mackey.MineStarCtx on the same scheduler.
 type Options struct {
 	// Workers sets the parallelism (< 1 means GOMAXPROCS).
 	Workers int
@@ -47,6 +48,9 @@ type MotifResult struct {
 	Truncated bool
 	// StopReason says why a truncated row stopped.
 	StopReason runctl.Reason
+	// Kernel marks a row routed to a closed-form star kernel
+	// (mackey.MineStarCtx) instead of the co-mined trie.
+	Kernel bool
 }
 
 // Result is the outcome of a co-mined run.
@@ -72,11 +76,14 @@ type Result struct {
 }
 
 // MineCtx co-mines every motif of plan against g in one traversal per
-// group, under one shared controller. Groups run sequentially (they
-// share the budget; each group parallelizes internally). After a stop,
-// the remaining groups return immediately with every member loudly
-// marked Truncated. A worker panic converts to a *runctl.PanicError
-// alongside the partial result.
+// group, under one shared controller. Star members go to closed-form
+// kernels when mackey.KernelFor routes every star of their group — the
+// rule Run applies to a single motif — and the group's trie is then
+// Rest; otherwise the whole group walks its trie. Groups run
+// sequentially (they share the budget; each group parallelizes
+// internally). After a stop, the remaining groups and kernels return
+// immediately with every member loudly marked Truncated. A worker panic
+// converts to a *runctl.PanicError alongside the partial result.
 func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b runctl.Budget) (Result, error) {
 	if opts.Ctl == nil {
 		opts.Ctl = runctl.New(ctx, b)
@@ -90,6 +97,7 @@ func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b
 	for i, m := range plan.Motifs {
 		res.PerMotif[i].Motif = m
 	}
+	mopts := mackey.Options{Workers: opts.Workers, Ctl: ctl, Obs: opts.Obs, Roots: opts.Roots}
 	var firstErr error
 	for gi, grp := range plan.Groups {
 		if ctl.Stopped() {
@@ -100,19 +108,43 @@ func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b
 		if opts.Trace != nil {
 			start = time.Now()
 		}
-		r, err := mackey.MineTrieCtx(ctx, g, &grp.Trie, mackey.Options{
-			Workers: opts.Workers, Ctl: ctl, Obs: opts.Obs, Roots: opts.Roots,
-		}, b)
-		for _, mem := range grp.Members {
-			res.PerMotif[mem.Index].Matches = r.Counts[mem.Index]
+		trie, stars := &grp.Trie, grp.kernels(g, mopts, b)
+		if stars != nil {
+			trie = grp.Rest
 		}
-		if r.Truncated {
-			markTruncated(res.PerMotif, grp, r.StopReason)
+		if trie.Root.Passing > 0 {
+			r, err := mackey.MineTrieCtx(ctx, g, trie, mopts, b)
+			for _, mem := range grp.Members {
+				res.PerMotif[mem.Index].Matches = r.Counts[mem.Index]
+			}
+			if r.Truncated {
+				markTruncated(res.PerMotif, grp, r.StopReason)
+			}
+			res.Stats.Add(r.Stats)
+			res.SharedExpansions += r.Shared
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
-		res.Stats.Add(r.Stats)
-		res.SharedExpansions += r.Shared
-		if err != nil && firstErr == nil {
-			firstErr = err
+		for i, mem := range grp.Members {
+			if !mem.Star || stars == nil {
+				continue
+			}
+			pm := &res.PerMotif[mem.Index]
+			pm.Kernel = true
+			if ctl.Stopped() {
+				pm.Truncated, pm.StopReason = true, ctl.Reason()
+				continue
+			}
+			r, err := mackey.MineStarCtx(ctx, g, stars[i], grp.Delta, mopts, b)
+			pm.Matches = r.Matches
+			if r.Truncated {
+				pm.Truncated, pm.StopReason = true, r.StopReason
+			}
+			res.Stats.Add(r.Stats)
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 		if opts.Trace != nil {
 			opts.Trace.EmitTagged("comine.group", ctl.TraceID(), int32(gi), start, time.Since(start))
@@ -124,6 +156,28 @@ func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b
 	}
 	publish(opts.Obs, plan, &res, ctl)
 	return res, firstErr
+}
+
+// kernels routes grp's star members: the stars indexed like Members
+// when mackey.KernelFor sends every one of them to a kernel, nil when
+// the group has none or one must stay on the trie (the group then walks
+// its whole trie).
+func (grp *Group) kernels(g *temporal.Graph, opts mackey.Options, b runctl.Budget) []mackey.Star {
+	if grp.Rest == nil {
+		return nil
+	}
+	stars := make([]mackey.Star, len(grp.Members))
+	for i, mem := range grp.Members {
+		if !mem.Star {
+			continue
+		}
+		s, ok := mackey.KernelFor(g, mem.Motif, opts, b)
+		if !ok {
+			return nil
+		}
+		stars[i] = s
+	}
+	return stars
 }
 
 // markTruncated loudly marks every member of grp truncated. Exact

@@ -11,6 +11,9 @@
 // bookkeeping only where the canonical sequences diverge. A search-tree
 // prefix shared by k motifs is expanded once instead of k times — the
 // redundant-work recovery Mayura reports for the Paranjape M1–M4 family.
+// Star members (M4) can leave the trie altogether: a run that routes
+// them counts each with a closed-form kernel and walks the group's Rest
+// trie of the other members.
 //
 // The planner is pure data: PlanSet never mines. Correctness of the
 // co-mined walk rests on a structural invariant established here — the
@@ -21,6 +24,7 @@ package comine
 
 import (
 	"fmt"
+	"slices"
 
 	"mint/internal/mackey"
 	"mint/internal/temporal"
@@ -40,6 +44,9 @@ type Member struct {
 	Canon []temporal.MotifEdge
 	// NumNodes is the number of distinct canonical nodes.
 	NumNodes int
+	// Star marks a star motif (mackey.StarOf): on a run that routes it,
+	// a closed-form kernel counts it instead of the trie.
+	Star bool
 }
 
 // Group is one δ-homogeneous co-mining unit: members share Delta and
@@ -48,6 +55,10 @@ type Member struct {
 // by construction).
 type Group struct {
 	mackey.Trie
+	// Rest is the trie of the group's non-star members, walked when a
+	// run sends the star members to kernels (Root.Passing is 0 when
+	// every member is a star); nil when the group has no star member.
+	Rest *mackey.Trie
 	// Members lists the group's motifs in input order.
 	Members []Member
 	// ForkPoints counts trie nodes with more than one child — the
@@ -93,6 +104,15 @@ func PlanSet(motifs []*temporal.Motif) (*Plan, error) {
 	for _, grp := range plan.Groups {
 		grp.ForkPoints = countForks(grp.Root)
 		grp.NumMotifs = len(motifs)
+		if !slices.ContainsFunc(grp.Members, func(mem Member) bool { return mem.Star }) {
+			continue
+		}
+		grp.Rest = &mackey.Trie{Root: &mackey.Node{}, Delta: grp.Delta, NumMotifs: len(motifs)}
+		for _, mem := range grp.Members {
+			if !mem.Star {
+				insertPath(grp.Rest, mem.Index, mem.Canon, mem.NumNodes)
+			}
+		}
 	}
 	return plan, nil
 }
@@ -149,7 +169,17 @@ func canonicalize(m *temporal.Motif) ([]temporal.MotifEdge, int) {
 
 // insert threads one member's canonical sequence into the group trie.
 func (g *Group) insert(idx int, m *temporal.Motif, canon []temporal.MotifEdge, numNodes int) {
-	n := g.Root
+	g.TrieEdges += insertPath(&g.Trie, idx, canon, numNodes)
+	_, star := mackey.StarOf(m)
+	g.Members = append(g.Members, Member{Index: idx, Motif: m, Canon: canon, NumNodes: numNodes, Star: star})
+	g.TotalEdges += len(canon)
+}
+
+// insertPath threads a canonical sequence into t, terminal for idx, and
+// returns the number of trie nodes it created.
+func insertPath(t *mackey.Trie, idx int, canon []temporal.MotifEdge, numNodes int) int {
+	created := 0
+	n := t.Root
 	n.Passing++
 	for d, e := range canon {
 		var child *mackey.Node
@@ -162,20 +192,15 @@ func (g *Group) insert(idx int, m *temporal.Motif, canon []temporal.MotifEdge, n
 		if child == nil {
 			child = &mackey.Node{Edge: e, Depth: d + 1}
 			n.Children = append(n.Children, child)
-			g.TrieEdges++
+			created++
 		}
 		child.Passing++
 		n = child
 	}
 	n.Terminal = append(n.Terminal, idx)
-	g.Members = append(g.Members, Member{Index: idx, Motif: m, Canon: canon, NumNodes: numNodes})
-	g.TotalEdges += len(canon)
-	if numNodes > g.MaxMotifNodes {
-		g.MaxMotifNodes = numNodes
-	}
-	if len(canon) > g.MaxMotifEdges {
-		g.MaxMotifEdges = len(canon)
-	}
+	t.MaxMotifNodes = max(t.MaxMotifNodes, numNodes)
+	t.MaxMotifEdges = max(t.MaxMotifEdges, len(canon))
+	return created
 }
 
 func countForks(n *mackey.Node) int {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mint/internal/faultinject"
+	"mint/internal/obs"
 	"mint/internal/runctl"
 	"mint/internal/temporal"
 )
@@ -64,9 +65,9 @@ func MineTrieCtx(ctx context.Context, g *temporal.Graph, t *Trie, opts Options, 
 	return mineChunks(ctx, g, nil, t, opts, b)
 }
 
-// mineChunks is the one chunk scheduler: workers walking t (or m's
-// one-path trie when t is nil) pull time-partitioned root chunks
-// through a shared atomic cursor.
+// mineChunks runs the trie executor on the chunk scheduler: workers
+// walking t (or m's one-path trie when t is nil) pull time-partitioned
+// root chunks through a shared atomic cursor.
 func mineChunks(ctx context.Context, g *temporal.Graph, m *temporal.Motif, t *Trie, opts Options, b runctl.Budget) (TrieResult, error) {
 	if opts.Ctl == nil {
 		// Always run parallel workers under a controller so that a panic
@@ -74,15 +75,7 @@ func mineChunks(ctx context.Context, g *temporal.Graph, m *temporal.Motif, t *Tr
 		opts.Ctl = runctl.New(ctx, b)
 	}
 	ctl := opts.Ctl
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	lo, hi := opts.rootSpan(g.NumEdges())
-	n := hi - lo
-	if workers > n {
-		workers = max(1, n)
-	}
 
 	// Time-partitioned dynamic scheduling: the root space is pre-split
 	// into contiguous, timestamp-aligned edge ranges, and workers steal
@@ -92,85 +85,26 @@ func mineChunks(ctx context.Context, g *temporal.Graph, m *temporal.Motif, t *Tr
 	// consecutively stay temporally adjacent — which is exactly what
 	// keeps its worker-local window cache advancing monotonically instead
 	// of thrashing.
+	workers := workerCount(opts.Workers, hi-lo)
 	bounds := partitionRoots(g, workers, temporal.EdgeID(lo), temporal.EdgeID(hi))
-	numChunks := int64(len(bounds) - 1)
-
-	// Per-worker observability tallies, written only by the owning worker
-	// goroutine and read after wg.Wait(). Timing is collected only when an
-	// observer is attached so the uninstrumented run stays byte-identical.
-	observed := opts.Obs != nil || opts.Trace != nil
-	var runStart time.Time
-	if observed {
-		runStart = time.Now()
-	}
-
-	plan := ctl.FaultPlan()
-	var cursor atomic.Int64
+	run := newChunkRun(ctl, workers, len(bounds)-1, opts.Obs != nil || opts.Trace != nil)
 	ws := make([]*worker, workers)
-	panicked := make([]bool, workers)
-	perChunks := make([]int64, workers)
-	perBusy := make([]time.Duration, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			var busyStart time.Time
-			if observed {
-				busyStart = time.Now()
+	run.schedule(func(wi int) {
+		ws[wi] = acquireWorker(g, m, t, opts)
+	}, func(wi, k int, cur *int64) bool {
+		w := ws[wi]
+		for root := bounds[k]; root < bounds[k+1]; root++ {
+			if w.stopped {
+				break
 			}
-			w := acquireWorker(g, m, t, opts)
-			ws[wi] = w
-			cur := int64(temporal.InvalidEdge)
-			defer func() {
-				if r := recover(); r != nil {
-					if inj, ok := r.(*faultinject.Injected); ok {
-						// Injected chaos panic: the plain parallel miner has
-						// no retry tier, so the run truncates — explicitly
-						// attributed, never silently short-counted.
-						errs[wi] = inj
-						ctl.Stop(runctl.FaultInjected)
-					} else {
-						errs[wi] = &runctl.PanicError{Worker: wi, Root: cur, Value: r}
-						ctl.Stop(runctl.Failed)
-					}
-					panicked[wi] = true
-				}
-				if observed {
-					perBusy[wi] = time.Since(busyStart)
-				}
-			}()
-		pull:
-			for {
-				k := cursor.Add(1) - 1
-				if k >= numChunks {
-					break
-				}
-				if plan != nil {
-					// Chaos site "mackey.chunk": Error/Drop stop the run as
-					// FaultInjected; a Panic unwinds into the recover above.
-					// (The supervised variant retries these instead.)
-					if err := plan.Fire("mackey.chunk", k, 0); err != nil {
-						errs[wi] = err
-						ctl.Stop(runctl.FaultInjected)
-						break pull
-					}
-				}
-				perChunks[wi]++
-				for root := bounds[k]; root < bounds[k+1]; root++ {
-					if w.stopped {
-						break pull
-					}
-					cur = int64(root)
-					w.mineRoot(root)
-				}
-			}
-			w.checkpoint() // flush the tail of this worker's progress
-			w.foldCacheStats()
-		}(wi)
-	}
-	wg.Wait()
+			*cur = int64(root)
+			w.mineRoot(root)
+		}
+		return w.stopped
+	}, func(wi int) {
+		ws[wi].checkpoint() // flush the tail of this worker's progress
+		ws[wi].foldCacheStats()
+	})
 
 	res := TrieResult{Counts: make([]int64, len(ws[0].counts))}
 	for _, w := range ws {
@@ -190,43 +124,168 @@ func mineChunks(ctx context.Context, g *temporal.Graph, m *temporal.Motif, t *Tr
 	// per-worker utilization distribution — a flat busy-time histogram
 	// with an idle tail is the work-stealing balance signal.
 	if opts.Obs != nil {
-		busyHist := opts.Obs.Histogram("mackey.worker_busy_ns")
 		nodesHist := opts.Obs.Histogram("mackey.worker_nodes")
 		for wi, w := range ws {
 			publishStats(opts.Obs, wi, w.stats)
-			if perChunks[wi] > 0 {
-				opts.Obs.Counter("mackey.parallel.chunks").AddShard(wi, perChunks[wi])
-				opts.Obs.Counter("mackey.parallel.steals").AddShard(wi, perChunks[wi]-1)
-			}
-			busyHist.Observe(perBusy[wi].Nanoseconds())
 			nodesHist.Observe(w.stats.NodesExpanded)
 		}
+		run.publish(opts.Obs)
 		if res.Truncated {
 			opts.Obs.Counter("mackey.truncated_runs").Add(1)
 		}
 		publishController(opts.Obs, ctl)
 	}
-	if opts.Trace != nil {
-		traceID := ctl.TraceID()
-		for wi := range perBusy {
-			opts.Trace.EmitTagged("mackey.worker", traceID, int32(wi), runStart, perBusy[wi])
-		}
-		opts.Trace.EmitTagged("mackey.mine_parallel", traceID, -1, runStart, time.Since(runStart))
-	}
+	run.trace(opts.Trace, "mackey.mine_parallel")
 	for wi, w := range ws {
-		if !panicked[wi] {
+		if !run.panicked[wi] {
 			// A panicked worker's bindings are mid-tree; abandon it to the
 			// GC rather than pooling corrupt state.
 			w.release()
 		}
 	}
+	return res, run.err()
+}
 
-	for _, err := range errs {
+// workerCount resolves a run's parallelism: < 1 means GOMAXPROCS, and
+// never more workers than units of work (but at least one).
+func workerCount(workers, units int) int {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, units))
+}
+
+// chunkRun is one run of the chunk scheduler, shared by the trie
+// executor and the star kernels: workers pull chunk indexes through a
+// shared atomic cursor under one controller, with panic containment,
+// the "mackey.chunk" chaos site, and per-worker busy and chunk tallies
+// for the observability fold. Each tally is written only by its owning
+// worker goroutine and read after schedule returns.
+type chunkRun struct {
+	ctl     *runctl.Controller
+	workers int
+	chunks  int64
+	// observed turns on per-worker timing; the uninstrumented run takes
+	// no clock readings.
+	observed bool
+	start    time.Time
+
+	panicked  []bool
+	perChunks []int64
+	perBusy   []time.Duration
+	errs      []error
+}
+
+func newChunkRun(ctl *runctl.Controller, workers, chunks int, observed bool) *chunkRun {
+	r := &chunkRun{
+		ctl: ctl, workers: workers, chunks: int64(chunks), observed: observed,
+		panicked:  make([]bool, workers),
+		perChunks: make([]int64, workers),
+		perBusy:   make([]time.Duration, workers),
+		errs:      make([]error, workers),
+	}
+	if observed {
+		r.start = time.Now()
+	}
+	return r
+}
+
+// schedule runs the workers to completion. begin prepares worker wi's
+// state on its own goroutine; mine mines chunk k, keeping *cur on the
+// root edge it is at for a panic report, and reports whether the worker
+// has stopped; end flushes a worker after its last chunk. A panicking
+// worker skips end and is marked in r.panicked.
+func (r *chunkRun) schedule(begin func(wi int), mine func(wi, k int, cur *int64) bool, end func(wi int)) {
+	plan := r.ctl.FaultPlan()
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for wi := 0; wi < r.workers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			var busyStart time.Time
+			if r.observed {
+				busyStart = time.Now()
+			}
+			cur := int64(temporal.InvalidEdge)
+			defer func() {
+				if v := recover(); v != nil {
+					if inj, ok := v.(*faultinject.Injected); ok {
+						// Injected chaos panic: the plain scheduler has no
+						// retry tier, so the run truncates — explicitly
+						// attributed, never silently short-counted.
+						r.errs[wi] = inj
+						r.ctl.Stop(runctl.FaultInjected)
+					} else {
+						r.errs[wi] = &runctl.PanicError{Worker: wi, Root: cur, Value: v}
+						r.ctl.Stop(runctl.Failed)
+					}
+					r.panicked[wi] = true
+				}
+				if r.observed {
+					r.perBusy[wi] = time.Since(busyStart)
+				}
+			}()
+			begin(wi)
+			for {
+				k := cursor.Add(1) - 1
+				if k >= r.chunks {
+					break
+				}
+				if plan != nil {
+					// Chaos site "mackey.chunk": Error/Drop stop the run as
+					// FaultInjected; a Panic unwinds into the recover above.
+					// (The supervised variant retries these instead.)
+					if err := plan.Fire("mackey.chunk", k, 0); err != nil {
+						r.errs[wi] = err
+						r.ctl.Stop(runctl.FaultInjected)
+						break
+					}
+				}
+				r.perChunks[wi]++
+				if mine(wi, int(k), &cur) {
+					break
+				}
+			}
+			end(wi)
+		}(wi)
+	}
+	wg.Wait()
+}
+
+// err is the first worker error: a panic, or an injected fault.
+func (r *chunkRun) err() error {
+	for _, err := range r.errs {
 		if err != nil {
-			return res, err
+			return err
 		}
 	}
-	return res, nil
+	return nil
+}
+
+// publish folds the scheduler's per-worker tallies into reg: chunks
+// pulled, steals, and the busy-time histogram.
+func (r *chunkRun) publish(reg *obs.Registry) {
+	busyHist := reg.Histogram("mackey.worker_busy_ns")
+	for wi := range r.perChunks {
+		if r.perChunks[wi] > 0 {
+			reg.Counter("mackey.parallel.chunks").AddShard(wi, r.perChunks[wi])
+			reg.Counter("mackey.parallel.steals").AddShard(wi, r.perChunks[wi]-1)
+		}
+		busyHist.Observe(r.perBusy[wi].Nanoseconds())
+	}
+}
+
+// trace emits one span per worker plus the run's span named span.
+func (r *chunkRun) trace(tr *obs.Tracer, span string) {
+	if tr == nil {
+		return
+	}
+	traceID := r.ctl.TraceID()
+	for wi := range r.perBusy {
+		tr.EmitTagged("mackey.worker", traceID, int32(wi), r.start, r.perBusy[wi])
+	}
+	tr.EmitTagged(span, traceID, -1, r.start, time.Since(r.start))
 }
 
 // partitionRoots splits the half-open root index range [lo, hi) into

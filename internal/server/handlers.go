@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"mint"
@@ -405,6 +406,11 @@ func (s *Server) serve(w http.ResponseWriter, q *Admitted, j job) {
 		}
 		res, err = mint.Run(q.Ctx, g, mq)
 		msp.Set("engine", res.Engine)
+		if len(res.Kernels) > 0 {
+			// The route, for "explain": motifs a closed-form star
+			// kernel answered instead of the trie executor.
+			msp.Set("kernels", strings.Join(res.Kernels, ","))
+		}
 		msp.End()
 		rt.ImportTracer(mq.Trace, msp.ID())
 		// A panic, injected fault or poisoned chunk is breaker evidence

@@ -246,3 +246,60 @@ func TestAccessLogMarkers(t *testing.T) {
 		t.Fatalf("access record mismatch: %+v (trace %q)", rec, out.TraceID)
 	}
 }
+
+// TestBatchExplainNamesKernels: a batch with M4 names the star kernel
+// on its mine span for "explain", the kernel's work shows in /metrics
+// under kernel.* (never mackey.nodes_expanded), and a batch without a
+// star carries no kernels attribute.
+func TestBatchExplainNamesKernels(t *testing.T) {
+	reg := obs.New("mintd")
+	_, ts, _ := newTestServer(t, func(cfg *Config) { cfg.Obs = reg })
+	mineSpan := func(motifs ...string) *obs.ExplainNode {
+		t.Helper()
+		var out CountResponse
+		if status, _ := postJSON(t, ts.URL+"/v1/count",
+			CountRequest{Dataset: "g1", Motifs: motifs, DeltaSeconds: testDelta, Explain: true}, &out); status != http.StatusOK || !out.Exact {
+			t.Fatalf("batch %v: status %d, exact %v", motifs, status, out.Exact)
+		}
+		var find func(n *obs.ExplainNode) *obs.ExplainNode
+		find = func(n *obs.ExplainNode) *obs.ExplainNode {
+			if n.Name == "mine.batch" {
+				return n
+			}
+			for _, c := range n.Children {
+				if f := find(c); f != nil {
+					return f
+				}
+			}
+			return nil
+		}
+		sp := find(out.Explain)
+		if sp == nil {
+			t.Fatalf("batch %v: no mine.batch span in the explain tree", motifs)
+		}
+		return sp
+	}
+	if k := mineSpan("M1", "M4").Attrs["kernels"]; k != "M4" {
+		t.Fatalf("M1+M4 batch: kernels attribute %q, want \"M4\"", k)
+	}
+	if k, ok := mineSpan("M1", "M2").Attrs["kernels"]; ok {
+		t.Fatalf("M1+M2 batch: kernels attribute %q, want none", k)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.LintPrometheus(buf.String()); err != nil {
+		t.Fatalf("/metrics fails exposition lint: %v", err)
+	}
+	for _, want := range []string{"mintd_kernel_runs 1", "mintd_kernel_edges "} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}

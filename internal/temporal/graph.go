@@ -218,6 +218,21 @@ func boolToInt(b bool) int {
 	return 0
 }
 
+// MaxOutDegree reports the largest out-neighborhood size, in one pass
+// over the CSR offsets and without allocating.
+func (g *Graph) MaxOutDegree() int { return maxRun(g.outOff) }
+
+// MaxInDegree reports the largest in-neighborhood size.
+func (g *Graph) MaxInDegree() int { return maxRun(g.inOff) }
+
+func maxRun(off []int32) int {
+	m := 0
+	for u := 1; u < len(off); u++ {
+		m = max(m, int(off[u]-off[u-1]))
+	}
+	return m
+}
+
 // DegreeStats summarizes a degree distribution; used by the dataset
 // tooling (Table I) and the memoization analysis (§VIII-A, which relates
 // memoization benefit to the size of the largest neighborhoods).

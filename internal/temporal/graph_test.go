@@ -135,6 +135,9 @@ func TestDegreeStats(t *testing.T) {
 	if in.Max != 2 || in.NumNonZero != 4 {
 		t.Errorf("in stats = %+v", in)
 	}
+	if g.MaxOutDegree() != out.Max || g.MaxInDegree() != in.Max {
+		t.Errorf("MaxOutDegree/MaxInDegree = %d/%d, want %d/%d", g.MaxOutDegree(), g.MaxInDegree(), out.Max, in.Max)
+	}
 }
 
 func TestEdgesPerDelta(t *testing.T) {

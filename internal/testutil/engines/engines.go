@@ -24,7 +24,9 @@ import (
 //
 // Every production shape of mint.Query sits in the table too —
 // enumeration, the supervised miner, the fallback ladder, a one-motif
-// batch and a root window split in two — so a request path that
+// batch, a root window split in two, and the default single-motif run
+// that answers stars with a closed-form kernel (whole at 1/4/8 workers
+// and split in three root windows) — so a request path that
 // diverges from the engines it wraps is caught by construction, not by
 // luck.
 type Engine struct {
@@ -82,6 +84,25 @@ func Engines() []Engine {
 			}
 			return sum, nil
 		}},
+		{Name: "mint/kernel-roots-split", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
+			// Three root windows at the edge-list terciles, on 4 workers:
+			// each window is a binary search into every centre's
+			// adjacency, and the parts must sum to the whole.
+			cuts := []temporal.Timestamp{math.MinInt64, 0, 0, math.MaxInt64}
+			if n := g.NumEdges(); n > 0 {
+				cuts[1], cuts[2] = g.Edges[n/3].Time, g.Edges[2*n/3].Time
+			}
+			var sum int64
+			for i := 0; i+1 < len(cuts); i++ {
+				w := mint.RootWindow{Start: cuts[i], End: cuts[i+1]}
+				n, err := kernelCount(g, m, mint.Query{Motif: m, Workers: 4, Roots: &w})
+				if err != nil {
+					return 0, err
+				}
+				sum += n
+			}
+			return sum, nil
+		}},
 		{Name: "mackey/memo", Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
 			return mackey.MineMemo(g, m, mackey.Options{}).Matches, nil
 		}},
@@ -98,6 +119,9 @@ func Engines() []Engine {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		engines = append(engines,
+			Engine{Name: fmt.Sprintf("mint/kernel-%d", workers), Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
+				return kernelCount(g, m, mint.Query{Motif: m, Workers: workers})
+			}},
 			Engine{Name: fmt.Sprintf("mackey/parallel-%d", workers), Count: func(g *temporal.Graph, m *temporal.Motif) (int64, error) {
 				return mackey.MineParallel(g, m, mackey.Options{Workers: workers}).Matches, nil
 			}},
@@ -135,6 +159,21 @@ func Engines() []Engine {
 			}})
 	}
 	return engines
+}
+
+// kernelCount runs q, whose Motif is m, and reads it as an exact count
+// that a star must have taken from its closed-form kernel: a star the
+// executor answered (or a non-star a kernel answered) is an error.
+func kernelCount(g *temporal.Graph, m *temporal.Motif, q mint.Query) (int64, error) {
+	res, err := mint.Run(context.Background(), g, q)
+	_, star := mackey.StarOf(m)
+	if err == nil && star != (len(res.Kernels) == 1) {
+		err = fmt.Errorf("star %v but kernels %v", star, res.Kernels)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return exact(res, nil)
 }
 
 // exact reads an unbudgeted Run as an exact count: anything but the

@@ -39,7 +39,10 @@ type Query struct {
 	// matches in one step, so a deadline, cancel or MaxNodes stop lands
 	// after the current leaf scan rather than after the current match.
 	// Visit and MaxMatches keep the per-match path, and a MaxMatches stop
-	// is exact.
+	// is exact. MaxMatches and MaxNodes also keep star motifs off the
+	// closed-form kernels (see Run), which count neither matches one by
+	// one nor search-tree nodes; a kernel stops for a deadline or cancel
+	// between centre nodes.
 	Budget Budget
 	// Fallback, when non-nil, degrades a truncated exact run to the PRESTO
 	// estimate under the remaining context (the zero config means
@@ -132,15 +135,24 @@ type Result struct {
 	// Supervised is the supervisor's fault ledger and chunk progress;
 	// zero unless Query.Supervisor was set.
 	Supervised SupervisedMineResult
+	// Kernels names the motifs routed to a closed-form star kernel
+	// instead of the trie executor, in query order; nil when none was.
+	Kernels []string
 }
 
-// Run mines q over g on the one trie executor: the sequential worker
-// when enumerating, the chunk scheduler for a single motif, the co-miner
-// for a set, or the supervisor. A stopped run is not an error: the
-// result is Truncated with exact partial counts. The error reports an
-// invalid query (ErrInvalidQuery), a worker panic (*PanicError,
-// alongside the partial result), an unreadable or mismatched
-// checkpoint, or an estimator failure.
+// Run mines q over g. A star motif (k ≥ 2 edges out of, or into, one
+// centre, like M4) is counted by a closed-form kernel in O(edges) when
+// the query observes nothing the kernel cannot reproduce: no Visit,
+// Supervisor, Budget.MaxMatches or Budget.MaxNodes (mackey.KernelFor,
+// the one routing rule; Result.Kernels names the motifs it routed).
+// Everything else runs on the one trie executor: the sequential worker
+// when enumerating, the chunk scheduler for a single motif, the
+// co-miner for a set — whose routed stars leave its trie — or the
+// supervisor. A stopped run is not an error: the result is Truncated
+// with exact partial counts. The error reports an invalid query
+// (ErrInvalidQuery), a worker panic (*PanicError, alongside the
+// partial result), an unreadable or mismatched checkpoint, or an
+// estimator failure.
 func Run(ctx context.Context, g *Graph, q Query) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
@@ -166,6 +178,9 @@ func Run(ctx context.Context, g *Graph, q Query) (Result, error) {
 		res.Stats, res.Truncated, res.StopReason = res.Batch.Stats, res.Batch.Truncated, res.Batch.StopReason
 		for _, pm := range res.Batch.PerMotif {
 			res.Matches += pm.Matches
+			if pm.Kernel {
+				res.Kernels = append(res.Kernels, pm.Motif.Name)
+			}
 		}
 	case q.Visit != nil:
 		opts.Probe = enumProbe{q.Visit}
@@ -174,7 +189,12 @@ func Run(ctx context.Context, g *Graph, q Query) (Result, error) {
 		res.Supervised, err = mackey.MineParallelSupervised(ctx, g, q.Motif, opts, q.Budget, *q.Supervisor)
 		res.MineResult = res.Supervised.Result
 	default:
-		res.MineResult, err = mackey.MineParallelCtx(ctx, g, q.Motif, opts, q.Budget)
+		if star, ok := mackey.KernelFor(g, q.Motif, opts, q.Budget); ok {
+			res.MineResult, err = mackey.MineStarCtx(ctx, g, star, q.Motif.Delta, opts, q.Budget)
+			res.Kernels = []string{q.Motif.Name}
+		} else {
+			res.MineResult, err = mackey.MineParallelCtx(ctx, g, q.Motif, opts, q.Budget)
+		}
 	}
 	res.Count = float64(res.Matches)
 	res.Engine = EngineExact

@@ -51,3 +51,38 @@ func TestRunRejectsInvalidQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRoutesStarsCountStaysOnExecutor: Run answers M4 with the star
+// kernel, alone and inside a set, while CountParallelCtx — the
+// reference serving benchmarks check answers against — stays on the
+// trie executor; all three agree on the count. A node budget keeps Run
+// on the executor too.
+func TestRunRoutesStarsCountStaysOnExecutor(t *testing.T) {
+	g, _ := denseTestGraph()
+	m4 := M4(60)
+	ctx := context.Background()
+	run, err := Run(ctx, g, Query{Motif: m4, Workers: 2})
+	if err != nil || run.Engine != EngineExact {
+		t.Fatalf("Run(M4) = %+v, %v", run, err)
+	}
+	if len(run.Kernels) != 1 || run.Kernels[0] != m4.Name || run.Stats.NodesExpanded != 0 {
+		t.Fatalf("Run(M4) took kernels %v with %d nodes expanded, want the M4 kernel and none",
+			run.Kernels, run.Stats.NodesExpanded)
+	}
+	ref, err := CountParallelCtx(ctx, g, m4, 2, Budget{})
+	if err != nil || ref.Stats.NodesExpanded == 0 {
+		t.Fatalf("CountParallelCtx(M4) expanded %d nodes (%v), want the trie executor", ref.Stats.NodesExpanded, err)
+	}
+	if run.Matches != ref.Matches || run.Matches == 0 {
+		t.Fatalf("Run(M4) = %d, CountParallelCtx = %d", run.Matches, ref.Matches)
+	}
+	set, err := Run(ctx, g, Query{Motifs: []*Motif{M1(60), m4}, Workers: 2})
+	if err != nil || len(set.Kernels) != 1 || set.Batch.PerMotif[1].Matches != ref.Matches || !set.Batch.PerMotif[1].Kernel {
+		t.Fatalf("set run: kernels %v, M4 row %+v (%v), want the kernel and %d", set.Kernels, set.Batch.PerMotif[1], err, ref.Matches)
+	}
+	budgeted, err := Run(ctx, g, Query{Motif: m4, Budget: Budget{MaxNodes: 1 << 40}})
+	if err != nil || budgeted.Kernels != nil || budgeted.Stats.NodesExpanded == 0 || budgeted.Matches != ref.Matches {
+		t.Fatalf("node-budgeted Run(M4): kernels %v, %d nodes, %d matches (%v)",
+			budgeted.Kernels, budgeted.Stats.NodesExpanded, budgeted.Matches, err)
+	}
+}

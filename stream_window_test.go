@@ -236,10 +236,20 @@ func TestStreamOldViewStableUnderAppends(t *testing.T) {
 // with standing M1–M3 folded on every append, an in-order batch costs the
 // same number of allocations with 20k and 200k live edges — no per-node
 // or per-edge allocation is left. The median over single appends drops
-// the rare append that grows the window's backing array.
+// the rare append that grows the window's backing array, or refills a
+// mining worker after a GC emptied its sync.Pool.
 func TestStreamAppendAllocsFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200k-edge window")
+	}
+	if raceEnabled {
+		// Under -race, sync.Pool drops a quarter of all Puts at random,
+		// so most appends refill a mining worker (acquireWorker's
+		// mapping arrays, window cache and count cells) and the median
+		// is a draw from the refill count: single appends read 141–174
+		// at either window size, over a floor of 141 that both sizes
+		// share.
+		t.Skip("sync.Pool drops pooled workers at random under -race")
 	}
 	median := func(live int) uint64 {
 		s, _, err := OpenStream(t.TempDir(), StreamOptions{
