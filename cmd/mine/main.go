@@ -215,21 +215,10 @@ func main() {
 		}
 	case "mackey":
 		if *checkpointPath != "" || *resume {
-			res, err := mackey.MineParallelSupervised(ctx, g, m, opts, budget, mackey.SupervisorOptions{
+			opts.Supervision = mackey.Supervise(mackey.SupervisorOptions{
 				CheckpointPath: *checkpointPath,
 				Resume:         *resume,
 			})
-			if err != nil {
-				fatal(err)
-			}
-			oc = mineOutcome(res.Result)
-			reportMine(res.Result, start)
-			fmt.Printf("supervisor: %d/%d chunks done (%d resumed), %d retries, %d requeues\n",
-				res.ChunksDone, res.ChunksTotal, res.ChunksResumed, res.Retries, res.Requeues)
-			for _, p := range res.Poisoned {
-				fmt.Printf("supervisor: chunk %d POISONED after %d attempts: %s\n", p.Chunk, p.Attempts, p.Err)
-			}
-			break
 		}
 		res, err := mackey.MineParallelCtx(ctx, g, m, opts, budget)
 		if err != nil {
@@ -237,6 +226,14 @@ func main() {
 		}
 		oc = mineOutcome(res)
 		reportMine(res, start)
+		if opts.Supervision != nil {
+			sup := opts.Supervision.Result()
+			fmt.Printf("supervisor: %d/%d chunks done (%d resumed), %d retries, %d requeues\n",
+				sup.ChunksDone, sup.ChunksTotal, sup.ChunksResumed, sup.Retries, sup.Requeues)
+			for _, p := range sup.Poisoned {
+				fmt.Printf("supervisor: chunk %d POISONED after %d attempts: %s\n", p.Chunk, p.Attempts, p.Err)
+			}
+		}
 	case "mackey-seq":
 		res := mackey.MineCtx(ctx, g, m, mackey.Options{Obs: reg, Trace: tracer, Ctl: ctl}, budget)
 		oc = mineOutcome(res)

@@ -98,8 +98,8 @@ poll:
 			phase1.Process.Kill()
 			t.Fatal("phase 1 never produced a checkpoint with completed chunks")
 		case <-time.After(25 * time.Millisecond):
-			f, err := checkpoint.Load(ckpt, "")
-			if err != nil || f == nil || len(f.Chunks) < 8 {
+			f, err := checkpoint.Load(ckpt)
+			if err != nil || f == nil || len(f.Runs) == 0 || len(f.Runs[0].Chunks) < 8 {
 				continue
 			}
 			if err := phase1.Process.Signal(syscall.SIGKILL); err != nil {
@@ -111,11 +111,11 @@ poll:
 		}
 	}
 
-	f, err := checkpoint.Load(ckpt, "")
-	if err != nil || f == nil {
+	f, err := checkpoint.Load(ckpt)
+	if err != nil || f == nil || len(f.Runs) != 1 {
 		t.Fatalf("no usable checkpoint after phase 1: %v", err)
 	}
-	t.Logf("phase 1: killed=%v, checkpoint has %d completed chunks", killed, len(f.Chunks))
+	t.Logf("phase 1: killed=%v, checkpoint has %d completed chunks", killed, len(f.Runs[0].Chunks))
 
 	// Phase 2: resume at a different worker count, no chaos. Counts must
 	// be bit-identical to the undisturbed run.

@@ -129,7 +129,7 @@ func TestSIGTERMDrain(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		paths, _ := filepath.Glob(filepath.Join(ckptDir, "*.ckpt"))
 		for _, p := range paths {
-			if f, err := checkpoint.Load(p, ""); err == nil && f != nil && len(f.Chunks) >= 2 {
+			if f, err := checkpoint.Load(p); err == nil && f != nil && len(f.Runs) > 0 && len(f.Runs[0].Chunks) >= 2 {
 				ckptPath = p
 			}
 		}

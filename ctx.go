@@ -145,13 +145,15 @@ func SimulateGPUCtx(ctx context.Context, g *Graph, m *Motif, cfg GPUConfig, b Bu
 	return gpumodel.RunCtx(ctx, g, m, cfg, b)
 }
 
-// SupervisorConfig configures the fault-tolerant supervised miner:
-// per-chunk retry with capped exponential backoff, two-strike panic
-// quarantine, a stalled-worker watchdog, and crash-safe checkpointing.
+// SupervisorConfig configures supervision, the chunk scheduler's
+// fault-tolerance policy (Query.Supervisor): per-chunk retry with capped
+// exponential backoff, two-strike panic quarantine, a stalled-attempt
+// watchdog, and crash-safe checkpointing.
 type SupervisorConfig = mackey.SupervisorOptions
 
-// SupervisedMineResult is a MineResult plus the supervisor's fault
-// ledger: poisoned chunks, retry/requeue counts, and chunk progress.
+// SupervisedMineResult is a supervised run's fault ledger — poisoned
+// chunks, retry/requeue counts, and chunk progress — summed over its
+// scheduler runs; the counts themselves are in Result.MineResult.
 type SupervisedMineResult = mackey.SupervisedResult
 
 // ChunkFault describes one chunk quarantined by the supervisor.

@@ -1,18 +1,20 @@
 // Package checkpoint provides crash-safe progress snapshots for long
-// mining runs. The parallel miner's unit of restartable work is the
-// time-partitioned root chunk (mackey.partitionRoots): chunks are mutually
-// independent complete search trees, so a run that records which chunks
-// finished — plus each chunk's partial counts — can be killed at any
-// instant and resumed count-identically by mining only the missing chunks
-// and merging.
+// mining runs. The chunk scheduler's unit of restartable work is the
+// chunk (mackey.partitionRoots for the trie executor, centre ranges for
+// the star kernels): chunks are mutually independent complete search
+// trees, so a run that records which chunks finished — plus each chunk's
+// partial counts — can be killed at any instant and resumed
+// count-identically by mining only the missing chunks and merging.
 //
-// The on-disk format is versioned JSON (Schema "mint.checkpoint/v1"),
-// written via temp-file + fsync + rename (internal/atomicio), so a crash
-// mid-write leaves the previous good snapshot intact. A checkpoint is
-// bound to its run by a fingerprint (graph and motif identity plus the
-// chunk boundaries); Load rejects snapshots whose fingerprint does not
-// match the run being resumed, so a stale file can never silently corrupt
-// counts.
+// One file holds one query: a section (Run) per scheduler run, in the
+// order the query starts them — one for a single motif, one per co-mined
+// group and per star kernel for a motif set. The on-disk format is
+// versioned JSON (Schema "mint.checkpoint/v2"), written via temp-file +
+// fsync + rename (internal/atomicio), so a crash mid-write leaves the
+// previous good snapshot intact. Each section is bound to its run by a
+// fingerprint (graph, route, motifs, δ and the chunk boundaries); the
+// resuming miner refuses a section whose fingerprint does not match, so
+// a stale file can never silently corrupt counts.
 package checkpoint
 
 import (
@@ -27,14 +29,13 @@ import (
 
 // Schema identifies the checkpoint JSON layout; bump on incompatible
 // changes so resume can reject snapshots from older binaries.
-const Schema = "mint.checkpoint/v1"
+const Schema = "mint.checkpoint/v2"
 
-// Chunk records one completed chunk: its index in the bounds table, its
-// match count, and an engine-specific payload (the mackey miner stores its
-// full per-chunk Stats there) merged back on resume.
+// Chunk records one completed chunk: its index in the bounds table and
+// an engine-specific payload (the mackey miner stores the chunk's Stats
+// and per-motif counts there) merged back on resume.
 type Chunk struct {
 	Index   int             `json:"index"`
-	Matches int64           `json:"matches"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
@@ -48,31 +49,28 @@ type Poison struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// File is one checkpoint snapshot.
-type File struct {
-	Schema      string `json:"schema"`
+// Run is one scheduler run's section.
+type Run struct {
 	Fingerprint string `json:"fingerprint"`
-	// Bounds are the chunk boundaries of the partitioned root space
-	// (len = chunks+1). Resume reuses them verbatim, so a resumed run is
+	// Bounds are the chunk boundaries of the partitioned work (len =
+	// chunks+1). Resume reuses them verbatim, so a resumed run is
 	// chunk-compatible regardless of its worker count.
 	Bounds   []int64  `json:"bounds"`
 	Chunks   []Chunk  `json:"chunks"`
 	Poisoned []Poison `json:"poisoned,omitempty"`
 }
 
-// Done returns the set of completed chunk indices.
-func (f *File) Done() map[int]bool {
-	out := make(map[int]bool, len(f.Chunks))
-	for _, c := range f.Chunks {
-		out[c.Index] = true
-	}
-	return out
+// File is one checkpoint snapshot.
+type File struct {
+	Schema string `json:"schema"`
+	Runs   []Run  `json:"runs"`
 }
 
-// Load reads and validates a checkpoint: the schema must match, and when
-// fingerprint is non-empty it must match too. A missing file returns
+// Load reads and validates a checkpoint: the schema must match, and
+// every recorded chunk and poisoned index must name a chunk of its
+// section's bounds, a poisoned one at most once. A missing file returns
 // (nil, nil) — "nothing to resume" is not an error.
-func Load(path, fingerprint string) (*File, error) {
+func Load(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -87,14 +85,21 @@ func Load(path, fingerprint string) (*File, error) {
 	if f.Schema != Schema {
 		return nil, fmt.Errorf("checkpoint: %s has schema %q, want %q", path, f.Schema, Schema)
 	}
-	if fingerprint != "" && f.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("checkpoint: %s was written for a different run (fingerprint %q, want %q)",
-			path, f.Fingerprint, fingerprint)
-	}
-	for _, c := range f.Chunks {
-		if c.Index < 0 || c.Index >= len(f.Bounds)-1 {
-			return nil, fmt.Errorf("checkpoint: %s records chunk %d outside its %d-chunk bounds",
-				path, c.Index, len(f.Bounds)-1)
+	for ri, r := range f.Runs {
+		n := len(r.Bounds) - 1
+		for _, c := range r.Chunks {
+			if c.Index < 0 || c.Index >= n {
+				return nil, fmt.Errorf("checkpoint: %s run %d records chunk %d outside its %d-chunk bounds",
+					path, ri, c.Index, n)
+			}
+		}
+		poisoned := make(map[int]bool, len(r.Poisoned))
+		for _, p := range r.Poisoned {
+			if p.Index < 0 || p.Index >= n || poisoned[p.Index] {
+				return nil, fmt.Errorf("checkpoint: %s run %d poisons chunk %d: outside its %d-chunk bounds or repeated",
+					path, ri, p.Index, n)
+			}
+			poisoned[p.Index] = true
 		}
 	}
 	return &f, nil
@@ -103,7 +108,8 @@ func Load(path, fingerprint string) (*File, error) {
 // Writer accumulates chunk completions and flushes them atomically to one
 // path. All methods are safe for concurrent use and nil-receiver-safe, so
 // the supervisor calls them unconditionally whether or not checkpointing
-// is enabled.
+// is enabled. A mark's own rewrite may fail; the next rewrite carries its
+// record again, so only Flush reports an error.
 type Writer struct {
 	mu          sync.Mutex
 	path        string
@@ -114,18 +120,21 @@ type Writer struct {
 	f           File
 }
 
-// NewWriter starts a checkpoint writer for a fresh run. every controls
-// flush granularity: the snapshot is rewritten after that many new chunk
-// completions (and always on Flush); values < 1 mean 1.
-func NewWriter(path, fingerprint string, bounds []int64, every int) *Writer {
-	if every < 1 {
-		every = 1
+// NewWriter starts a checkpoint writer for path, seeded with the
+// sections of prev (a loaded snapshot being resumed; nil for a fresh
+// run). every controls flush granularity: the snapshot is rewritten
+// after that many new chunk completions (and always on Flush); values
+// < 1 mean 1.
+func NewWriter(path string, prev *File, every int) *Writer {
+	w := &Writer{path: path, every: max(every, 1), f: File{Schema: Schema}}
+	if prev != nil {
+		for _, r := range prev.Runs {
+			r.Chunks = append([]Chunk(nil), r.Chunks...)
+			r.Poisoned = append([]Poison(nil), r.Poisoned...)
+			w.f.Runs = append(w.f.Runs, r)
+		}
 	}
-	return &Writer{
-		path:  path,
-		every: every,
-		f:     File{Schema: Schema, Fingerprint: fingerprint, Bounds: bounds},
-	}
+	return w
 }
 
 // SetMinInterval rate-limits MarkDone-triggered flushes: once a flush
@@ -143,55 +152,55 @@ func (w *Writer) SetMinInterval(d time.Duration) *Writer {
 	return w
 }
 
-// NewWriterFrom is NewWriter seeded with a loaded snapshot, so a resumed
-// run's flushes carry the chunks completed by previous attempts.
-func NewWriterFrom(path string, prev *File, every int) *Writer {
-	w := NewWriter(path, prev.Fingerprint, prev.Bounds, every)
-	w.f.Chunks = append(w.f.Chunks, prev.Chunks...)
-	w.f.Poisoned = append(w.f.Poisoned, prev.Poisoned...)
-	return w
-}
-
-// MarkDone records one completed chunk; payload (may be nil) is marshaled
-// into the chunk record. The snapshot is flushed when the pending count
-// reaches the writer's granularity.
-func (w *Writer) MarkDone(index int, matches int64, payload any) error {
+// AddRun appends a fresh section and returns its index.
+func (w *Writer) AddRun(fingerprint string, bounds []int64) int {
 	if w == nil {
-		return nil
-	}
-	var raw json.RawMessage
-	if payload != nil {
-		data, err := json.Marshal(payload)
-		if err != nil {
-			return fmt.Errorf("checkpoint: marshaling chunk %d payload: %w", index, err)
-		}
-		raw = data
+		return 0
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.f.Chunks = append(w.f.Chunks, Chunk{Index: index, Matches: matches, Payload: raw})
+	w.f.Runs = append(w.f.Runs, Run{Fingerprint: fingerprint, Bounds: bounds, Chunks: []Chunk{}})
+	return len(w.f.Runs) - 1
+}
+
+// MarkDone records one completed chunk of section run; payload (may be
+// nil) is marshaled into the chunk record. The snapshot is rewritten
+// when the pending count reaches the writer's granularity.
+func (w *Writer) MarkDone(run, index int, payload any) {
+	if w == nil {
+		return
+	}
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		return // an unrecorded chunk is simply mined again on resume
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	r := &w.f.Runs[run]
+	r.Chunks = append(r.Chunks, Chunk{Index: index, Payload: raw})
 	w.pending++
 	if w.pending >= w.every &&
 		(w.minInterval <= 0 || time.Since(w.lastFlush) >= w.minInterval) {
-		return w.flushLocked()
+		w.flushLocked() //nolint:errcheck // the next rewrite carries this record again
 	}
-	return nil
 }
 
-// MarkPoisoned records a quarantined chunk and flushes immediately —
-// poisoning is rare and load-bearing for resume decisions.
-func (w *Writer) MarkPoisoned(index, attempts int, errMsg string) error {
+// MarkPoisoned records a quarantined chunk of section run and rewrites
+// the snapshot at once — poisoning is rare and load-bearing for resume
+// decisions.
+func (w *Writer) MarkPoisoned(run, index, attempts int, errMsg string) {
 	if w == nil {
-		return nil
+		return
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.f.Poisoned = append(w.f.Poisoned, Poison{Index: index, Attempts: attempts, Error: errMsg})
-	return w.flushLocked()
+	r := &w.f.Runs[run]
+	r.Poisoned = append(r.Poisoned, Poison{Index: index, Attempts: attempts, Error: errMsg})
+	w.flushLocked() //nolint:errcheck // the next rewrite carries this record again
 }
 
-// Flush writes any pending state. Call once at run end so the final
-// snapshot records every completed chunk.
+// Flush writes the whole snapshot and reports whether it landed. Call
+// at run end so the final snapshot records every completed chunk.
 func (w *Writer) Flush() error {
 	if w == nil {
 		return nil
@@ -213,10 +222,11 @@ func (w *Writer) flushLocked() error {
 
 // Fingerprint renders a domain-tagged identity string from a slice of
 // ints: "<domain>/<16 hex digits>". Two callers share it: the
-// supervisor's run fingerprints (binding a checkpoint to its graph,
-// motif, and partition) and the sharding layer's dataset-identity
-// fingerprints (letting a scatter-gather coordinator refuse to merge
-// counts from shards that are not serving the same data).
+// scheduler's run fingerprints (binding a checkpoint section to its
+// graph, route, motifs and partition) and the sharding layer's
+// dataset-identity fingerprints (letting a scatter-gather coordinator
+// refuse to merge counts from shards that are not serving the same
+// data).
 func Fingerprint(domain string, ints []int64) string {
 	return fmt.Sprintf("%s/%016x", domain, HashInts(ints))
 }

@@ -12,9 +12,9 @@ import (
 
 // Options configures a co-mining run. Each group is mined by
 // mackey.MineTrieCtx — the single-motif miners' own worker, chunk
-// scheduler, window-cached candidate scans, chaos site (mackey.chunk)
-// and cooperative runctl budget/cancellation contract — and its routed
-// star members by mackey.MineStarCtx on the same scheduler.
+// scheduler, window-cached candidate scans, chaos site (mackey.chunk),
+// supervision and cooperative runctl budget/cancellation contract — and
+// its routed star members by mackey.MineStarCtx on the same scheduler.
 type Options struct {
 	// Workers sets the parallelism (< 1 means GOMAXPROCS).
 	Workers int
@@ -33,6 +33,9 @@ type Options struct {
 	// — the same engine-level hook the δ-aware shard partition uses, so
 	// co-mined counts over disjoint root ranges sum exactly.
 	Roots *mackey.RootRange
+	// Supervision, when non-nil, supervises every group's trie run and
+	// every kernel run, each in its own checkpoint section.
+	Supervision *mackey.Supervision
 }
 
 // MotifResult is one input motif's outcome within a co-mined run.
@@ -97,7 +100,7 @@ func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b
 	for i, m := range plan.Motifs {
 		res.PerMotif[i].Motif = m
 	}
-	mopts := mackey.Options{Workers: opts.Workers, Ctl: ctl, Obs: opts.Obs, Roots: opts.Roots}
+	mopts := mackey.Options{Workers: opts.Workers, Ctl: ctl, Obs: opts.Obs, Roots: opts.Roots, Supervision: opts.Supervision}
 	var firstErr error
 	for gi, grp := range plan.Groups {
 		if ctl.Stopped() {
@@ -153,6 +156,13 @@ func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b
 	if ctl.Stopped() {
 		res.Truncated = true
 		res.StopReason = ctl.Reason()
+	}
+	for _, pm := range res.PerMotif {
+		if pm.Truncated && !res.Truncated {
+			// A supervised run's poisoned chunk truncates its rows
+			// without stopping the run.
+			res.Truncated, res.StopReason = true, pm.StopReason
+		}
 	}
 	publish(opts.Obs, plan, &res, ctl)
 	return res, firstErr

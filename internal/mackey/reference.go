@@ -48,6 +48,12 @@ type Options struct {
 	// over disjoint ranges sum exactly to the unrestricted count. This is
 	// the engine-level hook behind the δ-aware shard partition.
 	Roots *RootRange
+
+	// Supervision, when non-nil, supervises the chunk scheduler's runs
+	// (see SupervisorOptions): failed chunks are retried, then
+	// quarantined, and finished chunks checkpointed. The sequential
+	// miners ignore it.
+	Supervision *Supervision
 }
 
 // RootRange is a half-open range of root edge indices, [Lo, Hi).

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"mint/internal/obs"
 	"mint/internal/runctl"
 	"mint/internal/temporal"
 )
@@ -80,13 +81,16 @@ func (s Star) Fits(g *temporal.Graph) bool {
 // star kernel iff it is a star (StarOf) whose arithmetic fits on g
 // (Star.Fits), and the run observes nothing a closed form cannot
 // reproduce — no Probe (enumeration and characterization see every
-// match), no memo table (the paper's memoized baseline), and neither a
-// match nor a node budget in b or in opts.Ctl (both are charged per
-// match or per search-tree node, units a kernel does not have). A
-// deadline, a cancel and a chaos plan are fine: the kernel stops
-// between centres and is loudly Truncated.
+// match), no memo table (the paper's memoized baseline), and, unless
+// the run is supervised, neither a match nor a node budget in b or in
+// opts.Ctl (both are charged per match or per search-tree node, units a
+// kernel does not have). A supervised run reports whole chunks only, so
+// its budgets stop it at a chunk boundary on either route. A deadline,
+// a cancel and a chaos plan are fine: the kernel stops between centres
+// and is loudly Truncated.
 func KernelFor(g *temporal.Graph, m *temporal.Motif, opts Options, b runctl.Budget) (Star, bool) {
-	if opts.Probe != nil || opts.Memo != nil || counted(b) || counted(opts.Ctl.Budget()) {
+	if opts.Probe != nil || opts.Memo != nil ||
+		opts.Supervision == nil && (counted(b) || counted(opts.Ctl.Budget())) {
 		return Star{}, false
 	}
 	s, ok := StarOf(m)
@@ -101,70 +105,43 @@ func counted(b runctl.Budget) bool { return b.MaxMatches > 0 || b.MaxNodes > 0 }
 // MineStarCtx counts the instances of star s with time window delta in
 // g. Chunks are ranges of centre nodes balanced by degree, run on the
 // chunk scheduler, so the kernel has the executor's workers, panic
-// containment, "mackey.chunk" chaos site and controller. opts.Roots
-// restricts the roots by binary search into each centre's adjacency, so
-// counts over disjoint root ranges sum exactly. A deadline or cancel
-// stops the kernel between centres; the count so far is then an exact
-// lower bound, marked Truncated. Stats carries only Matches, because a
-// kernel expands no search-tree nodes; its unit of work, the adjacency
-// entries its windows touch, goes to the kernel.edges counter.
+// containment, "mackey.chunk" chaos site, controller and supervision.
+// opts.Roots restricts the roots by binary search into each centre's
+// adjacency, so counts over disjoint root ranges sum exactly. A deadline
+// or cancel stops the kernel between centres; the count so far is then
+// an exact lower bound, marked Truncated. Stats carries only Matches,
+// because a kernel expands no search-tree nodes; its unit of work, the
+// adjacency entries its windows touch, goes to the kernel.edges counter.
 // opts.Probe and opts.Memo are ignored: route through KernelFor.
 func MineStarCtx(ctx context.Context, g *temporal.Graph, s Star, delta temporal.Timestamp, opts Options, b runctl.Budget) (Result, error) {
 	if opts.Ctl == nil {
 		opts.Ctl = runctl.New(ctx, b)
 	}
-	ctl := opts.Ctl
 	lo, hi := opts.rootSpan(g.NumEdges())
 	workers := workerCount(opts.Workers, g.NumNodes())
-	bounds := partitionCentres(g, s.Out, workers)
-	run := newChunkRun(ctl, workers, len(bounds)-1, opts.Obs != nil || opts.Trace != nil)
-	ws := make([]*starWorker, workers)
-	run.schedule(func(wi int) {
-		ws[wi] = acquireStarWorker(g, s, delta, ctl, temporal.EdgeID(lo), temporal.EdgeID(hi))
-	}, func(wi, k int, cur *int64) bool {
-		w := ws[wi]
-		for a := bounds[k]; a < bounds[k+1] && !w.stopped; a++ {
-			w.mineCentre(a, cur)
+	_, res, err := runChunks(opts, workers, partitionCentres(g, s.Out, workers), "mackey.kernel", func() []int64 {
+		out := int64(0)
+		if s.Out {
+			out = 1
 		}
-		return w.stopped
-	}, func(wi int) {
-		ws[wi].checkpoint()
+		return runIdent(g, lo, hi, 1, out, int64(s.Edges), int64(delta))
+	}, func() chunkMiner {
+		return acquireStarWorker(g, s, delta, opts.Ctl, temporal.EdgeID(lo), temporal.EdgeID(hi))
 	})
-
-	var res Result
-	var edges int64
-	for _, w := range ws {
-		res.Matches += w.matches
-		edges += w.edges
-	}
-	res.Stats.Matches = res.Matches
-	if ctl.Stopped() {
-		res.Truncated = true
-		res.StopReason = ctl.Reason()
-	}
 	if opts.Obs != nil {
 		opts.Obs.Counter("kernel.runs").Add(1)
-		opts.Obs.Counter("kernel.edges").Add(edges)
-		run.publish(opts.Obs)
-		publishController(opts.Obs, ctl)
 	}
-	run.trace(opts.Trace, "mackey.kernel")
-	for wi, w := range ws {
-		if !run.panicked[wi] {
-			w.release()
-		}
-	}
-	return res, run.err()
+	return res, err
 }
 
 // partitionCentres splits the node range into chunks of consecutive
 // centres whose adjacency lists (out-lists for an out-star) hold about
 // edges/(workers·16) entries each: chunk k is centres
 // bounds[k]..bounds[k+1]−1.
-func partitionCentres(g *temporal.Graph, out bool, workers int) []temporal.NodeID {
+func partitionCentres(g *temporal.Graph, out bool, workers int) []int64 {
 	n := g.NumNodes()
 	target := max(1, g.NumEdges()/(workers*16))
-	bounds := make([]temporal.NodeID, 1, workers*16+2)
+	bounds := make([]int64, 1, workers*16+2)
 	acc := 0
 	for a := 0; a < n-1; a++ {
 		if out {
@@ -173,11 +150,11 @@ func partitionCentres(g *temporal.Graph, out bool, workers int) []temporal.NodeI
 			acc += len(g.InEdges(temporal.NodeID(a)))
 		}
 		if acc >= target {
-			bounds = append(bounds, temporal.NodeID(a+1))
+			bounds = append(bounds, int64(a+1))
 			acc = 0
 		}
 	}
-	return append(bounds, temporal.NodeID(n))
+	return append(bounds, int64(n))
 }
 
 // starWorker is one kernel worker's state. cnt and p describe the
@@ -215,6 +192,18 @@ func acquireStarWorker(g *temporal.Graph, s Star, delta temporal.Timestamp, ctl 
 		lo: lo, hi: hi, full: lo == 0 && int(hi) == g.NumEdges(), cnt: cnt}
 	return w
 }
+
+// mineChunk mines the centres [from, to).
+func (w *starWorker) mineChunk(from, to int64, cur *int64) bool {
+	for a := temporal.NodeID(from); a < temporal.NodeID(to) && !w.stopped; a++ {
+		w.mineCentre(a, cur)
+	}
+	return w.stopped
+}
+
+func (w *starWorker) tally() tally { return tally{Stats: Stats{Matches: w.matches}} }
+
+func (w *starWorker) fold(reg *obs.Registry, _ int) { reg.Counter("kernel.edges").Add(w.edges) }
 
 // release pools the worker; the window counts are already zero.
 func (w *starWorker) release() {
@@ -277,7 +266,7 @@ func (w *starWorker) mineCentre(a temporal.NodeID, cur *int64) {
 	w.p = [temporal.MaxMotifEdges]int64{}
 	w.edges += int64(whi - from)
 	if w.since += int64(whi - from); w.since >= runctl.CheckInterval {
-		w.checkpoint()
+		w.flush()
 	}
 }
 
@@ -343,9 +332,9 @@ func (w *starWorker) rootCount(b temporal.NodeID) int64 {
 	return r
 }
 
-// checkpoint flushes the worker's matches into the controller and
-// latches a stop.
-func (w *starWorker) checkpoint() {
+// flush flushes the worker's matches into the controller and latches a
+// stop.
+func (w *starWorker) flush() {
 	w.since = 0
 	dm := w.matches - w.flushed
 	w.flushed = w.matches

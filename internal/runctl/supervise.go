@@ -1,77 +1,13 @@
 package runctl
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// Supervision primitives shared by the fault-tolerant runners: per-worker
-// liveness heartbeats (the watchdog's stall signal) and capped exponential
-// retry backoff. They live here rather than in one miner because the task
-// runtime and the simulator report into the same machinery.
-
-// Heartbeats tracks the last-progress instant of each worker in a run.
-// Workers Beat at coarse, already-amortized points (chunk pulls, root-task
-// completions) — one atomic store, no time syscall on the worker side
-// beyond what Beat takes. The supervisor's watchdog reads ages; the obs
-// layer mirrors them as per-worker gauges so stalls are visible from
-// /debug/vars while the run is live.
-type Heartbeats struct {
-	beats []atomic.Int64 // UnixNano of the last beat; 0 = never
-}
-
-// NewHeartbeats tracks n workers, all initially never-beaten.
-func NewHeartbeats(n int) *Heartbeats {
-	return &Heartbeats{beats: make([]atomic.Int64, n)}
-}
-
-// Beat records progress for worker i now. Nil-safe and bounds-safe.
-func (h *Heartbeats) Beat(i int) {
-	if h == nil || i < 0 || i >= len(h.beats) {
-		return
-	}
-	h.beats[i].Store(time.Now().UnixNano())
-}
-
-// Last returns the instant of worker i's last beat and whether it has
-// ever beaten.
-func (h *Heartbeats) Last(i int) (time.Time, bool) {
-	if h == nil || i < 0 || i >= len(h.beats) {
-		return time.Time{}, false
-	}
-	ns := h.beats[i].Load()
-	if ns == 0 {
-		return time.Time{}, false
-	}
-	return time.Unix(0, ns), true
-}
-
-// Age returns how long worker i has gone without a beat, relative to now.
-// A worker that never beat reports zero age — it hasn't started, which is
-// scheduling latency, not a stall.
-func (h *Heartbeats) Age(i int, now time.Time) time.Duration {
-	last, ok := h.Last(i)
-	if !ok {
-		return 0
-	}
-	if d := now.Sub(last); d > 0 {
-		return d
-	}
-	return 0
-}
-
-// Len returns the number of tracked workers.
-func (h *Heartbeats) Len() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.beats)
-}
+import "time"
 
 // Backoff returns the capped exponential retry delay for the given failure
 // ordinal (0 = first retry): base<<attempt, clamped to cap. Non-positive
 // base disables backoff (returns 0); attempt is clamped so large ordinals
-// cannot overflow the shift.
+// cannot overflow the shift. The chunk scheduler's supervision, the
+// dataset registry, the scatter-gather coordinator and the replica
+// follower share it.
 func Backoff(attempt int, base, cap time.Duration) time.Duration {
 	if base <= 0 {
 		return 0

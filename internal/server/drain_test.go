@@ -72,7 +72,7 @@ func TestDrainCheckpointsInFlightSupervisedRequest(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		paths, _ := filepath.Glob(filepath.Join(ckptDir, "*.ckpt"))
 		for _, p := range paths {
-			if f, err := checkpoint.Load(p, ""); err == nil && f != nil && len(f.Chunks) >= 4 {
+			if f, err := checkpoint.Load(p); err == nil && f != nil && len(f.Runs) > 0 && len(f.Runs[0].Chunks) >= 4 {
 				ckptPath = p
 			}
 		}

@@ -36,8 +36,9 @@ type CountRequest struct {
 	// traversal) under one shared budget, and the response carries one
 	// PerMotif entry per requested motif — named motifs first, then
 	// specs, in request order. Batch mode is exact-or-loud: there is no
-	// sampling fallback, and it conflicts with Motif/MotifSpec and
-	// Supervised (400).
+	// sampling fallback, and it conflicts with Motif/MotifSpec (400).
+	// With Supervised, every co-mined group and star kernel of the set
+	// is supervised and checkpointed in one file.
 	Motifs     []string `json:"motifs,omitempty"`
 	MotifSpecs []string `json:"motif_specs,omitempty"`
 	// DeltaSeconds is the motif window δ (0 = one hour).
@@ -51,8 +52,9 @@ type CountRequest struct {
 	// Priority is "low", "normal" (default), or "high" — the
 	// load-shedding tier, not a scheduling weight.
 	Priority string `json:"priority,omitempty"`
-	// Supervised runs the fault-tolerant checkpointing miner; requires
-	// the server to be configured with a checkpoint directory.
+	// Supervised runs the count under supervision — chunk retry,
+	// quarantine and checkpointing — for a single motif or a batch;
+	// requires the server to be configured with a checkpoint directory.
 	Supervised bool `json:"supervised,omitempty"`
 	// RootWindow restricts the count to motif instances whose root
 	// (earliest) edge timestamp falls in this half-open window. The
@@ -103,8 +105,9 @@ type CountResponse struct {
 	// ExactPartial is the exact stage's partial count — always a valid
 	// lower bound, even on degraded answers.
 	ExactPartial int64 `json:"exact_partial"`
-	// Checkpoint is the server-side checkpoint path of a supervised
-	// request (resume evidence after a drain).
+	// Checkpoint is the server-side checkpoint path of a truncated
+	// supervised request (resume evidence after a drain), named only
+	// when the file was written.
 	Checkpoint string  `json:"checkpoint,omitempty"`
 	WallMS     float64 `json:"wall_ms"`
 	// Partial is set only on merged scatter-gather responses whose
@@ -525,10 +528,17 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		j.query.Supervisor = &mint.SupervisorConfig{CheckpointPath: path}
 		j.reply = func(_ *mint.Graph, res mint.Result) any {
 			out := countResponse(res)
-			if res.Truncated {
+			_, err := os.Stat(path)
+			switch {
+			case res.Truncated && err == nil:
+				// Only a written checkpoint is named: a truncated run
+				// whose snapshot could not be written left nothing to
+				// resume from.
 				out.Checkpoint = path
-			} else if err := os.Remove(path); err != nil {
-				s.obs.Counter("server.checkpoint_remove_failed").Add(1)
+			case !res.Truncated:
+				if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+					s.obs.Counter("server.checkpoint_remove_failed").Add(1)
+				}
 			}
 			return out
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +74,49 @@ func TestSupervisedCheckpointLifetime(t *testing.T) {
 	}
 	if _, err := os.Stat(cut.Checkpoint); err != nil {
 		t.Fatalf("named checkpoint missing: %v", err)
+	}
+}
+
+// TestSupervisedBatchCountsExactly: a supervised batch is one
+// supervised co-mined run — M4 on its kernel — whose entries equal the
+// unsupervised counts; exact, it leaves no checkpoint behind.
+func TestSupervisedBatchCountsExactly(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, graphs := newTestServer(t, func(cfg *Config) { cfg.CheckpointDir = dir })
+	var resp CountResponse
+	if status, _ := postJSON(t, ts.URL+"/v1/count", CountRequest{Dataset: "g1", DeltaSeconds: testDelta,
+		Motifs: []string{"M1", "M2", "M3", "M4"}, Supervised: true}, &resp); status != http.StatusOK {
+		t.Fatalf("supervised batch status %d", status)
+	}
+	if !resp.Exact || len(resp.PerMotif) != 4 || resp.Checkpoint != "" {
+		t.Fatalf("supervised batch reply %+v, want 4 exact entries and no checkpoint", resp)
+	}
+	for i, m := range mint.EvaluationMotifs(testDelta) {
+		if want := mint.Count(graphs["g1"], m); resp.PerMotif[i].Count != want {
+			t.Errorf("%s: supervised batch counted %d, want %d", m.Name, resp.PerMotif[i].Count, want)
+		}
+	}
+	if es, err := os.ReadDir(dir); err != nil || len(es) != 0 {
+		t.Fatalf("exact supervised batch left %d files (%v)", len(es), err)
+	}
+}
+
+// TestSupervisedNamesOnlyWrittenCheckpoints: a truncated supervised run
+// whose checkpoint could not be written (the checkpoint dir is a file)
+// still answers with its partial count, but names no checkpoint.
+func TestSupervisedNamesOnlyWrittenCheckpoints(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts, _ := newTestServer(t, func(cfg *Config) { cfg.CheckpointDir = notDir })
+	var cut CountResponse
+	if status, _ := postJSON(t, ts.URL+"/v1/count",
+		CountRequest{Dataset: "g1", Motif: "M1", DeltaSeconds: testDelta, Supervised: true, MaxMatches: 1}, &cut); status != http.StatusOK {
+		t.Fatalf("truncated supervised status %d", status)
+	}
+	if !cut.Truncated || cut.Checkpoint != "" {
+		t.Fatalf("reply %+v: want truncated and no checkpoint named", cut)
 	}
 }
 

@@ -404,14 +404,12 @@ func TestCountBatchSharedBudgetTruncatesLoudly(t *testing.T) {
 }
 
 // TestCountBatchRejectsConflictsAndBadMotifs: batch mode 400s on
-// conflicting single-motif fields, supervised mode, and unparseable
-// members.
+// conflicting single-motif fields and unparseable members.
 func TestCountBatchRejectsConflictsAndBadMotifs(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
 	cases := []CountRequest{
 		{Dataset: "g1", Motifs: []string{"M1"}, Motif: "M2"},
 		{Dataset: "g1", Motifs: []string{"M1"}, MotifSpec: "0->1"},
-		{Dataset: "g1", Motifs: []string{"M1"}, Supervised: true},
 		{Dataset: "g1", Motifs: []string{"M9"}},
 		{Dataset: "g1", MotifSpecs: []string{"0->0"}},
 	}

@@ -57,11 +57,11 @@ func chaosEngines() []chaosEngine {
 			return chaosOutcome{matches: res.Matches, truncated: res.Truncated, reason: res.StopReason, err: err}
 		}},
 		{"mackey/supervised-4", func(g *temporal.Graph, m *temporal.Motif, plan *faultinject.Plan) chaosOutcome {
-			sup, err := mackey.MineParallelSupervised(context.Background(), g, m,
-				mackey.Options{Workers: 4, Ctl: chaosCtl(plan)}, runctl.Budget{},
-				mackey.SupervisorOptions{MaxAttempts: 4, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond})
-			return chaosOutcome{matches: sup.Matches, truncated: sup.Truncated,
-				reason: sup.StopReason, err: err, poisoned: len(sup.Poisoned)}
+			sup := mackey.Supervise(mackey.SupervisorOptions{MaxAttempts: 4, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond})
+			res, err := mackey.MineParallelCtx(context.Background(), g, m,
+				mackey.Options{Workers: 4, Ctl: chaosCtl(plan), Supervision: sup}, runctl.Budget{})
+			return chaosOutcome{matches: res.Matches, truncated: res.Truncated,
+				reason: res.StopReason, err: err, poisoned: len(sup.Result().Poisoned)}
 		}},
 		{"task/run-4", func(g *temporal.Graph, m *temporal.Motif, plan *faultinject.Plan) chaosOutcome {
 			res, err := task.RunCtl(g, m, 4, chaosCtl(plan))
@@ -152,18 +152,18 @@ func TestChaosSupervisedRecoversCleanErrors(t *testing.T) {
 	want := oracle.Count(g, m)
 	for _, seed := range []int64{11, 12, 13} {
 		plan := faultinject.New(seed, 0, 0, 0.10, 0, time.Millisecond)
-		sup, err := mackey.MineParallelSupervised(context.Background(), g, m,
-			mackey.Options{Workers: 4, Ctl: chaosCtl(plan)}, runctl.Budget{},
-			mackey.SupervisorOptions{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond})
+		sup := mackey.Supervise(mackey.SupervisorOptions{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond})
+		res, err := mackey.MineParallelCtx(context.Background(), g, m,
+			mackey.Options{Workers: 4, Ctl: chaosCtl(plan), Supervision: sup}, runctl.Budget{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if sup.Truncated || len(sup.Poisoned) > 0 {
+		if res.Truncated || len(sup.Result().Poisoned) > 0 {
 			t.Fatalf("seed %d: supervised run truncated (poisoned %d) under error-only faults",
-				seed, len(sup.Poisoned))
+				seed, len(sup.Result().Poisoned))
 		}
-		if sup.Matches != want {
-			t.Fatalf("seed %d: supervised count %d, oracle %d", seed, sup.Matches, want)
+		if res.Matches != want {
+			t.Fatalf("seed %d: supervised count %d, oracle %d", seed, res.Matches, want)
 		}
 	}
 }

@@ -53,10 +53,13 @@ type Query struct {
 	// graph, not a root slice, so its answer stays the exact partial lower
 	// bound.
 	Fallback *ApproxConfig
-	// Supervisor, when non-nil, runs the fault-tolerant supervised miner:
+	// Supervisor, when non-nil, supervises the run's chunk scheduler — a
+	// single motif, each co-mined group and each star kernel alike:
 	// failed chunks are retried, then quarantined into the result's
-	// Poisoned ledger, and with CheckpointPath set progress is
-	// checkpointed crash-safely (Resume continues from it).
+	// Supervised.Poisoned ledger, and with CheckpointPath set progress is
+	// checkpointed crash-safely (Resume continues from it). A supervised
+	// run counts whole chunks only, so a Budget stops it at a chunk
+	// boundary, and its stars stay on the kernels under any budget.
 	Supervisor *SupervisorConfig
 	// Chaos, when non-nil, installs a fault-injection plan on the run's
 	// controller; an injected fault truncates the run loudly with
@@ -88,10 +91,6 @@ func (q Query) Validate() error {
 		why = "a motif set cannot be enumerated"
 	case set && q.Fallback != nil:
 		why = "a motif set has no fallback estimator"
-	case q.Supervisor != nil && set:
-		why = "supervised runs take a single motif"
-	case q.Supervisor != nil && q.Roots != nil:
-		why = "supervised runs take no root window"
 	case q.Supervisor != nil && (q.Visit != nil || q.Fallback != nil):
 		why = "supervised runs neither enumerate nor fall back"
 	case q.Visit != nil && q.Fallback != nil:
@@ -132,8 +131,9 @@ type Result struct {
 	// Batch is a motif set's outcome: per-motif rows indexed like
 	// Query.Motifs, and the co-mining shape. Zero for a single motif.
 	Batch BatchResult
-	// Supervised is the supervisor's fault ledger and chunk progress;
-	// zero unless Query.Supervisor was set.
+	// Supervised is the supervision's fault ledger and chunk progress,
+	// summed over the run's scheduler runs; zero unless Query.Supervisor
+	// was set.
 	Supervised SupervisedMineResult
 	// Kernels names the motifs routed to a closed-form star kernel
 	// instead of the trie executor, in query order; nil when none was.
@@ -142,17 +142,19 @@ type Result struct {
 
 // Run mines q over g. A star motif (k ≥ 2 edges out of, or into, one
 // centre, like M4) is counted by a closed-form kernel in O(edges) when
-// the query observes nothing the kernel cannot reproduce: no Visit,
-// Supervisor, Budget.MaxMatches or Budget.MaxNodes (mackey.KernelFor,
-// the one routing rule; Result.Kernels names the motifs it routed).
-// Everything else runs on the one trie executor: the sequential worker
-// when enumerating, the chunk scheduler for a single motif, the
-// co-miner for a set — whose routed stars leave its trie — or the
-// supervisor. A stopped run is not an error: the result is Truncated
-// with exact partial counts. The error reports an invalid query
-// (ErrInvalidQuery), a worker panic (*PanicError, alongside the
-// partial result), an unreadable or mismatched checkpoint, or an
-// estimator failure.
+// the query observes nothing the kernel cannot reproduce: no Visit, and
+// no Budget.MaxMatches or Budget.MaxNodes unless supervised
+// (mackey.KernelFor, the one routing rule; Result.Kernels names the
+// motifs it routed). Everything else runs on the one trie executor: the
+// sequential worker when enumerating, the chunk scheduler for a single
+// motif, or the co-miner for a set — whose routed stars leave its trie.
+// A Supervisor supervises whichever chunk scheduler runs. A stopped run
+// is not an error: the result is Truncated with exact partial counts.
+// The error reports an invalid query (ErrInvalidQuery), a worker panic
+// (*PanicError, alongside the partial result), an unreadable or
+// mismatched checkpoint, a truncated supervised run whose checkpoint
+// could not be written (alongside the partial result), or an estimator
+// failure.
 func Run(ctx context.Context, g *Graph, q Query) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
@@ -164,6 +166,9 @@ func Run(ctx context.Context, g *Graph, q Query) (Result, error) {
 	ctl.SetFaultPlan(q.Chaos)
 	ctl.SetTraceID(q.TraceID)
 	opts := mackey.Options{Workers: q.Workers, Ctl: ctl, Obs: q.Obs, Trace: q.Trace, Roots: rootRangeFor(g, q.Roots)}
+	if q.Supervisor != nil {
+		opts.Supervision = mackey.Supervise(*q.Supervisor)
+	}
 	var res Result
 	var err error
 	switch {
@@ -173,7 +178,7 @@ func Run(ctx context.Context, g *Graph, q Query) (Result, error) {
 			return res, err
 		}
 		res.Batch, err = comine.MineCtx(ctx, g, plan, comine.Options{
-			Workers: q.Workers, Ctl: ctl, Obs: q.Obs, Trace: q.Trace, Roots: opts.Roots,
+			Workers: q.Workers, Ctl: ctl, Obs: q.Obs, Trace: q.Trace, Roots: opts.Roots, Supervision: opts.Supervision,
 		}, q.Budget)
 		res.Stats, res.Truncated, res.StopReason = res.Batch.Stats, res.Batch.Truncated, res.Batch.StopReason
 		for _, pm := range res.Batch.PerMotif {
@@ -185,9 +190,6 @@ func Run(ctx context.Context, g *Graph, q Query) (Result, error) {
 	case q.Visit != nil:
 		opts.Probe = enumProbe{q.Visit}
 		res.MineResult = mackey.MineCtx(ctx, g, q.Motif, opts, q.Budget)
-	case q.Supervisor != nil:
-		res.Supervised, err = mackey.MineParallelSupervised(ctx, g, q.Motif, opts, q.Budget, *q.Supervisor)
-		res.MineResult = res.Supervised.Result
 	default:
 		if star, ok := mackey.KernelFor(g, q.Motif, opts, q.Budget); ok {
 			res.MineResult, err = mackey.MineStarCtx(ctx, g, star, q.Motif.Delta, opts, q.Budget)
@@ -195,6 +197,9 @@ func Run(ctx context.Context, g *Graph, q Query) (Result, error) {
 		} else {
 			res.MineResult, err = mackey.MineParallelCtx(ctx, g, q.Motif, opts, q.Budget)
 		}
+	}
+	if opts.Supervision != nil {
+		res.Supervised = opts.Supervision.Result()
 	}
 	res.Count = float64(res.Matches)
 	res.Engine = EngineExact
