@@ -78,6 +78,20 @@ func TestMergedDistributedTrace(t *testing.T) {
 			}
 		case n.Name == "mine":
 			shardMines++
+			// The shard's engine spans hang under its mine span and
+			// carry its proc label.
+			engine := map[string]bool{}
+			for _, c := range n.Children {
+				if c.Proc == "" || c.Proc != n.Proc {
+					t.Errorf("engine span %q under a shard mine span: proc %q, want %q", c.Name, c.Proc, n.Proc)
+				}
+				engine[c.Name] = true
+			}
+			for _, want := range []string{"mackey.mine_parallel", "mackey.worker"} {
+				if !engine[want] {
+					t.Errorf("shard %q mine span has no %q child (have %v)", n.Proc, want, engine)
+				}
+			}
 		}
 		for _, c := range n.Children {
 			walk(c, underCall || n.Name == "shard.call")

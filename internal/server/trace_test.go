@@ -50,6 +50,27 @@ func TestCountExplainTree(t *testing.T) {
 	if out.Explain.Attrs["engine"] == "" {
 		t.Fatalf("root span should carry the engine decision, got %v", out.Explain.Attrs)
 	}
+	// The engine's spans hang under the request's mine span.
+	mine := findExplain(out.Explain, "mine")
+	for _, want := range []string{"mackey.mine_parallel", "mackey.worker"} {
+		if findExplain(mine, want) == nil {
+			t.Errorf("mine span has no %q child", want)
+		}
+	}
+}
+
+// findExplain returns the first node named name in n's subtree (nil
+// when there is none).
+func findExplain(n *obs.ExplainNode, name string) *obs.ExplainNode {
+	if n == nil || n.Name == name {
+		return n
+	}
+	for _, c := range n.Children {
+		if f := findExplain(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
 }
 
 // TestRequestIDHonored: an X-Request-ID shapes the trace id and is
@@ -261,26 +282,22 @@ func TestBatchExplainNamesKernels(t *testing.T) {
 			CountRequest{Dataset: "g1", Motifs: motifs, DeltaSeconds: testDelta, Explain: true}, &out); status != http.StatusOK || !out.Exact {
 			t.Fatalf("batch %v: status %d, exact %v", motifs, status, out.Exact)
 		}
-		var find func(n *obs.ExplainNode) *obs.ExplainNode
-		find = func(n *obs.ExplainNode) *obs.ExplainNode {
-			if n.Name == "mine.batch" {
-				return n
-			}
-			for _, c := range n.Children {
-				if f := find(c); f != nil {
-					return f
-				}
-			}
-			return nil
-		}
-		sp := find(out.Explain)
+		sp := findExplain(out.Explain, "mine.batch")
 		if sp == nil {
 			t.Fatalf("batch %v: no mine.batch span in the explain tree", motifs)
 		}
 		return sp
 	}
-	if k := mineSpan("M1", "M4").Attrs["kernels"]; k != "M4" {
+	sp := mineSpan("M1", "M4")
+	if k := sp.Attrs["kernels"]; k != "M4" {
 		t.Fatalf("M1+M4 batch: kernels attribute %q, want \"M4\"", k)
+	}
+	// The co-miner's group span and the star kernel's run span hang
+	// under the request's mine.batch span.
+	for _, want := range []string{"comine.group", "mackey.kernel"} {
+		if findExplain(sp, want) == nil {
+			t.Errorf("M1+M4 batch: mine.batch span has no %q child", want)
+		}
 	}
 	if k, ok := mineSpan("M1", "M2").Attrs["kernels"]; ok {
 		t.Fatalf("M1+M2 batch: kernels attribute %q, want none", k)
