@@ -3,8 +3,9 @@
 //
 // Default mode (observability overhead): for each evaluation motif M1–M4
 // it benchmarks mackey.Mine on the same synthetic graph three times —
-// registry detached, registry attached, and registry plus trace-tagged
-// span recording (the serving layer's per-request configuration) — and
+// registry detached, registry attached, and registry plus a controller
+// and a request trace per op (the serving layer's per-request
+// configuration) — and
 // records ns/op for all plus the on/off and trace/off ratios. The miners
 // fold their private Stats into the registry once per run, so the ratios
 // should sit within noise of 1.0; TestObsOverheadGuard enforces <3%
@@ -68,7 +69,8 @@ type benchRow struct {
 	ObsOffNsOp int64  `json:"obs_off_ns_per_op"`
 	ObsOnNsOp  int64  `json:"obs_on_ns_per_op"`
 	// TraceNsOp measures the serving configuration: registry attached
-	// plus a ring tracer recording trace-tagged spans.
+	// plus a controller and a request trace per op recording the run's
+	// span.
 	TraceNsOp  int64   `json:"trace_on_ns_per_op"`
 	Ratio      float64 `json:"overhead_ratio"`
 	TraceRatio float64 `json:"trace_overhead_ratio"`
@@ -201,14 +203,17 @@ func runObsReport(out string, edges int, seed int64) error {
 				res = mackey.Mine(g, m, mackey.Options{Obs: reg})
 			}
 		})
-		// Serving configuration: the per-request tracer and the
-		// trace-tagged controller mintd's handlers attach.
+		// Serving configuration: a controller, and a request trace per
+		// op whose open mine span the run records into, as mintd's
+		// handlers attach per request.
 		ctl := runctl.New(context.Background(), runctl.Budget{})
-		ctl.SetTraceID(obs.NewTraceContext().TraceID)
-		tr := obs.NewTracer(128)
 		traced := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res = mackey.Mine(g, m, mackey.Options{Obs: reg, Trace: tr, Ctl: ctl})
+				rt := obs.NewReqTrace(obs.NewTraceContext(), "http.count", "")
+				sp := rt.Begin("mine", rt.RootID())
+				res = mackey.Mine(g, m, mackey.Options{Obs: reg, Trace: sp, Ctl: ctl})
+				sp.End()
+				rt.Finish()
 			}
 		})
 		row := benchRow{

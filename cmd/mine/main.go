@@ -12,8 +12,9 @@
 // Observability: -obs.listen starts an expvar/pprof HTTP server whose
 // /debug/vars document embeds a live snapshot of the run's metric
 // registry; -report writes a structured end-of-run RunReport JSON;
-// -trace dumps the span ring buffer in Chrome trace_event format
-// (loadable in chrome://tracing or ui.perfetto.dev).
+// -trace records the run as one request trace (the engines' spans under
+// a mine span) and writes it in Chrome trace_event format (loadable in
+// chrome://tracing or ui.perfetto.dev).
 //
 // Usage:
 //
@@ -30,6 +31,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -150,11 +152,18 @@ func main() {
 			g.NumNodes(), g.NumEdges(), m.Name, m, m.Delta, *algo)
 	}
 
-	// One registry and span tracer per process, attached to whichever
-	// engine the chosen algorithm runs. -obs.listen exposes the registry
-	// live (the snapshot folds sharded counters on every scrape).
+	// One registry and, with -trace, one request trace per process,
+	// attached to whichever engine the chosen algorithm runs: the engines
+	// record their spans under the trace's mine span, as mintd's do.
+	// -obs.listen exposes the registry live (the snapshot folds sharded
+	// counters on every scrape).
 	reg := obs.New("mine")
-	tracer := obs.NewTracer(4096)
+	var rt *obs.ReqTrace
+	if *tracePath != "" {
+		rt = obs.NewReqTrace(obs.NewTraceContext(), "cmd.mine", "")
+	}
+	msp := rt.Begin("mine", rt.RootID())
+	msp.Set("algo", *algo)
 	reg.Gauge("runctl.budget.max_matches").Set(*maxMatches)
 	reg.Gauge("runctl.budget.max_nodes").Set(*maxNodes)
 	if *obsListen != "" {
@@ -175,14 +184,11 @@ func main() {
 	// flag, and — when -chaos is set — the deterministic fault plan every
 	// engine's injection hooks roll against.
 	ctl := runctl.New(ctx, budget)
-	// Tag the run with a trace id so -trace dumps use the same span
-	// schema the serving layer merges across processes.
-	ctl.SetTraceID(obs.NewTraceContext().TraceID)
 	if plan != nil {
 		ctl.SetFaultPlan(plan)
 		fmt.Printf("chaos: %s\n", plan)
 	}
-	opts := mackey.Options{Workers: *workers, Obs: reg, Trace: tracer, Ctl: ctl}
+	opts := mackey.Options{Workers: *workers, Obs: reg, Trace: msp, Ctl: ctl}
 
 	var oc outcome
 	start := time.Now()
@@ -193,7 +199,7 @@ func main() {
 			fatal(err)
 		}
 		res, err := comine.MineCtx(ctx, g, cplan,
-			comine.Options{Workers: *workers, Ctl: ctl, Obs: reg, Trace: tracer}, budget)
+			comine.Options{Workers: *workers, Ctl: ctl, Obs: reg, Trace: msp}, budget)
 		if err != nil {
 			fatal(err)
 		}
@@ -235,7 +241,7 @@ func main() {
 			}
 		}
 	case "mackey-seq":
-		res := mackey.MineCtx(ctx, g, m, mackey.Options{Obs: reg, Trace: tracer, Ctl: ctl}, budget)
+		res := mackey.MineCtx(ctx, g, m, mackey.Options{Obs: reg, Trace: msp, Ctl: ctl}, budget)
 		oc = mineOutcome(res)
 		reportMine(res, start)
 	case "mackey-memo":
@@ -303,8 +309,7 @@ func main() {
 			Fallback: &mint.ApproxConfig{Windows: *windows, C: 1.25, Seed: 1},
 			Chaos:    plan,
 			Obs:      reg,
-			Trace:    tracer,
-			TraceID:  ctl.TraceID(),
+			Trace:    msp,
 		})
 		if err != nil {
 			fatal(err)
@@ -323,6 +328,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -algo %q", *algo))
 	}
+	msp.End()
 
 	if plan != nil {
 		if fired := plan.Fired(); len(fired) > 0 {
@@ -349,11 +355,13 @@ func main() {
 		}
 		fmt.Printf("report: wrote %s\n", *reportPath)
 	}
-	if *tracePath != "" {
-		if err := tracer.WriteChromeTraceFile(*tracePath); err != nil {
+	if rt != nil {
+		rt.Finish()
+		spans := rt.Spans()
+		if err := writeTrace(*tracePath, spans); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace: wrote %s (%d spans retained)\n", *tracePath, len(tracer.Events()))
+		fmt.Printf("trace: wrote %s (%d spans)\n", *tracePath, len(spans))
 	}
 	if *obsListen != "" && *obsLinger > 0 {
 		fmt.Printf("obs: lingering %v for scrapes\n", *obsLinger)
@@ -505,6 +513,15 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// writeTrace writes spans to path as a Chrome trace_event document.
+func writeTrace(path string, spans []obs.Span) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(obs.WriteChromeTrace(f, spans), f.Close())
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -31,6 +32,54 @@ func buildMine(t *testing.T, dir string) string {
 
 var matchesRe = regexp.MustCompile(`(?m)^matches: (\d+) in `)
 var resumedRe = regexp.MustCompile(`(?m)^supervisor: (\d+)/(\d+) chunks done \((\d+) resumed\)`)
+
+// TestTraceFlag: -trace writes the run's request trace as Chrome
+// trace_event JSON holding the engine's spans, for the chunk scheduler
+// (mackey.worker) and the co-miner (comine.group) alike.
+func TestTraceFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: builds a binary and runs subprocesses")
+	}
+	dir := t.TempDir()
+	bin := buildMine(t, dir)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algo", "mackey", "-motif", "M1"}, "mackey.worker"},
+		{[]string{"-algo", "comine", "-motifs", "M1,M2"}, "comine.group"},
+	} {
+		path := filepath.Join(dir, tc.want+".json")
+		args := append([]string{"-dataset", "em", "-scale", "0.002", "-workers", "2", "-trace", path}, tc.args...)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("mine %v: %v\n%s", args, err, out)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Ph   string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%v: trace is not Chrome trace JSON: %v", tc.args, err)
+		}
+		names := map[string]bool{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "X" {
+				names[ev.Name] = true
+			}
+		}
+		for _, want := range []string{"mine", tc.want} {
+			if !names[want] {
+				t.Errorf("%v: trace has no %q span (have %v)", tc.args, want, names)
+			}
+		}
+	}
+}
 
 // TestKillAndResume is the end-to-end crash-recovery check: a supervised
 // mining run is SIGKILLed mid-flight (no cleanup, no graceful unwind —

@@ -50,9 +50,10 @@
 // # Observability
 //
 // internal/obs provides a zero-dependency metrics registry (sharded
-// counters, gauges, log2-bucket histograms), a bounded in-memory tracer,
-// and a machine-readable RunReport, threaded through the miners, the
-// task runtime, and the simulator. Instrumentation costs nothing when
+// counters, gauges, log2-bucket histograms), a per-request span
+// recorder that the miners record into, and a machine-readable
+// RunReport, threaded through the miners, the task runtime, and the
+// simulator. Instrumentation costs nothing when
 // detached and <3% on the sequential hot path when attached (engines
 // fold their private stats into the registry once per worker per run).
 // cmd/mine and cmd/experiments expose it as expvar JSON + pprof

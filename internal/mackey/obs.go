@@ -77,8 +77,8 @@ func publishStats(reg *obs.Registry, shard int, s Stats) {
 
 // publishRun records a completed run: the folded stats, the truncation
 // counter, controller budget-consumption gauges, cancellation latency,
-// and a wall-clock span on the tracer. start is the run's start time
-// (zero when no tracer is attached).
+// and a wall-clock span under opts.Trace. start is the run's start time
+// (zero when no trace is attached).
 func publishRun(opts Options, shard int, res Result, span string, start time.Time) {
 	if opts.Obs != nil {
 		publishStats(opts.Obs, shard, res.Stats)
@@ -87,9 +87,7 @@ func publishRun(opts Options, shard int, res Result, span string, start time.Tim
 		}
 		publishController(opts.Obs, opts.Ctl)
 	}
-	if opts.Trace != nil {
-		opts.Trace.EmitTagged(span, opts.Ctl.TraceID(), int32(shard), start, time.Since(start))
-	}
+	opts.Trace.Record(span, int32(shard), start, time.Since(start))
 }
 
 // publishController exports the controller's flushed totals as budget

@@ -43,16 +43,17 @@ func checkRegistryMatchesStats(t *testing.T, snap obs.Snapshot, s Stats) {
 }
 
 // TestSequentialMineFoldsIntoRegistry: the registry snapshot after a
-// sequential run must equal the returned Stats exactly, and the tracer
-// must carry the run span.
+// sequential run must equal the returned Stats exactly, and the request
+// trace must carry the run span under the open mine span.
 func TestSequentialMineFoldsIntoRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := testutil.RandomGraph(rng, 8, 80, 200)
 	m := cycle3(40)
 
 	reg := obs.New("test_seq")
-	tr := obs.NewTracer(64)
-	res := Mine(g, m, Options{Obs: reg, Trace: tr})
+	rt := obs.NewReqTrace(obs.NewTraceContext(), "test", "")
+	sp := rt.Begin("mine", rt.RootID())
+	res := Mine(g, m, Options{Obs: reg, Trace: sp})
 	if res.Matches == 0 {
 		t.Fatal("degenerate input: no matches, pick a better seed")
 	}
@@ -60,9 +61,9 @@ func TestSequentialMineFoldsIntoRegistry(t *testing.T) {
 	if res.Stats.TimePrunedScans == 0 {
 		t.Error("no time-pruned scans recorded on a δ-bounded run")
 	}
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Name != "mackey.mine" {
-		t.Fatalf("trace events = %+v, want one mackey.mine span", evs)
+	spans := rt.Spans()
+	if len(spans) != 2 || spans[1].Name != "mackey.mine" || spans[1].ParentID != sp.ID() {
+		t.Fatalf("trace spans = %+v, want one mackey.mine span under the mine span", spans)
 	}
 }
 
@@ -75,9 +76,9 @@ func TestParallelMineFoldsIntoRegistry(t *testing.T) {
 	m := cycle3(60)
 
 	reg := obs.New("test_par")
-	tr := obs.NewTracer(64)
+	rt := obs.NewReqTrace(obs.NewTraceContext(), "test", "")
 	res, err := MineParallelCtx(context.Background(), g, m,
-		Options{Workers: 4, Obs: reg, Trace: tr}, runctl.Budget{})
+		Options{Workers: 4, Obs: reg, Trace: rt.Begin("mine", rt.RootID())}, runctl.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +96,9 @@ func TestParallelMineFoldsIntoRegistry(t *testing.T) {
 	if snap.Gauges["runctl.nodes"] != res.Stats.NodesExpanded {
 		t.Errorf("runctl.nodes gauge = %d, want %d", snap.Gauges["runctl.nodes"], res.Stats.NodesExpanded)
 	}
-	// One span per worker plus the run span.
-	if got := len(tr.Events()); got != 5 {
-		t.Errorf("trace events = %d, want 5", got)
+	// The root, one span per worker, and the run span.
+	if got := len(rt.Spans()); got != 6 {
+		t.Errorf("trace spans = %d, want 6", got)
 	}
 }
 

@@ -405,16 +405,13 @@ func (r *chunkRun) publish(reg *obs.Registry) {
 	}
 }
 
-// trace emits one span per worker plus the run's span named span.
-func (r *chunkRun) trace(tr *obs.Tracer, span string) {
-	if tr == nil {
-		return
-	}
-	traceID := r.ctl.TraceID()
+// trace records one span per worker plus the run's span named span
+// under parent.
+func (r *chunkRun) trace(parent *obs.SpanRef, span string) {
 	for wi := range r.perBusy {
-		tr.EmitTagged("mackey.worker", traceID, int32(wi), r.start, r.perBusy[wi])
+		parent.Record("mackey.worker", int32(wi), r.start, r.perBusy[wi])
 	}
-	tr.EmitTagged(span, traceID, -1, r.start, time.Since(r.start))
+	parent.Record(span, -1, r.start, time.Since(r.start))
 }
 
 // partitionRoots splits the half-open root index range [lo, hi) into

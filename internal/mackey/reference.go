@@ -37,9 +37,10 @@ type Options struct {
 	// metric names). The mining hot path never touches it.
 	Obs *obs.Registry
 
-	// Trace, when non-nil, receives coarse spans (one per run plus one
-	// per parallel worker) in Chrome trace_event form.
-	Trace *obs.Tracer
+	// Trace, when non-nil, is the request's open mine span: the run
+	// records its coarse spans (one per run plus one per parallel
+	// worker) as closed children of it.
+	Trace *obs.SpanRef
 
 	// Roots, when non-nil, restricts the run to root edges in the
 	// half-open index range [Roots.Lo, Roots.Hi). Motif instances are

@@ -75,9 +75,6 @@ type Config struct {
 	// beyond a per-PE local tally.
 	Obs *obs.Registry
 
-	// Trace, when non-nil, receives a span covering the simulation.
-	Trace *obs.Tracer
-
 	// Cache is the shared on-chip cache geometry.
 	Cache cache.Config
 

@@ -1,8 +1,6 @@
 package mint
 
 import (
-	"time"
-
 	"mint/internal/cache"
 	"mint/internal/dram"
 	"mint/internal/obs"
@@ -32,10 +30,10 @@ import (
 // per PE per run; its spread is the load-balance signal of §V-B's
 // single-ported task queue).
 
-// publishSim folds a completed simulation into cfg.Obs and emits the
-// run span on cfg.Trace. peBusy is the per-PE busy-cycle tally (nil
-// when observability was off). Nil-safe throughout.
-func publishSim(cfg Config, res Result, peBusy []int64, start time.Time) {
+// publishSim folds a completed simulation into cfg.Obs. peBusy is the
+// per-PE busy-cycle tally (nil when observability was off). Nil-safe
+// throughout.
+func publishSim(cfg Config, res Result, peBusy []int64) {
 	if cfg.Obs != nil {
 		reg := cfg.Obs
 		add := func(name string, v int64) {
@@ -69,9 +67,6 @@ func publishSim(cfg Config, res Result, peBusy []int64, start time.Time) {
 				h.Observe(busy)
 			}
 		}
-	}
-	if cfg.Trace != nil {
-		cfg.Trace.Emit("mint.simulate", -1, start, time.Since(start))
 	}
 }
 

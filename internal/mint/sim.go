@@ -3,7 +3,6 @@ package mint
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mint/internal/cache"
 	"mint/internal/dram"
@@ -151,6 +150,9 @@ type simulator struct {
 	// occupancy histogram; nil when no registry is attached, so the
 	// cycle loop pays only a nil check.
 	peBusy []int64
+
+	// probeBuf is the one slice every Probe call receives.
+	probeBuf []int32
 }
 
 // calendar queue ---------------------------------------------------------
@@ -184,10 +186,6 @@ func (w *wheel) push(wake int64, pe int32, now int64) {
 
 // run drives the event loop to completion.
 func (s *simulator) run() (Result, error) {
-	var start time.Time
-	if s.cfg.Obs != nil || s.cfg.Trace != nil {
-		start = time.Now()
-	}
 	if s.cfg.Obs != nil {
 		s.peBusy = make([]int64, s.cfg.PEs)
 	}
@@ -292,7 +290,7 @@ func (s *simulator) run() (Result, error) {
 		res.Truncated = true
 		res.StopReason = s.ctl.Reason()
 	}
-	publishSim(s.cfg, res, s.peBusy, start)
+	publishSim(s.cfg, res, s.peBusy)
 	return res, nil
 }
 
@@ -612,7 +610,10 @@ func (s *simulator) applyTaskResult(p *pe) {
 // fireProbe reports a completed match to the configured probe.
 func (s *simulator) fireProbe(ctx *task.Context) {
 	matched := ctx.Matched()
-	buf := make([]int32, len(matched))
+	if cap(s.probeBuf) < len(matched) {
+		s.probeBuf = make([]int32, len(matched))
+	}
+	buf := s.probeBuf[:len(matched)]
 	for i, id := range matched {
 		buf[i] = int32(id)
 	}

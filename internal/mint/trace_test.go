@@ -89,3 +89,39 @@ func itoa32(v int32) string {
 	}
 	return string(buf[i:])
 }
+
+// TestSimulateProbeAllocsFlat: every Probe call receives one reused
+// buffer, so attaching a Probe adds allocations that do not grow with
+// the match count.
+func TestSimulateProbeAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled task contexts at random under -race")
+	}
+	g := testutil.RandomGraph(rand.New(rand.NewSource(41)), 10, 300, 300)
+	m := cycle3(100)
+	cfg := testConfig()
+	res, err := Simulate(g, m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Matches < 100 {
+		t.Fatalf("test graph too sparse: %d matches", res.Matches)
+	}
+	allocs := func(cfg Config) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Simulate(g, m, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare := allocs(cfg)
+	var seen int64
+	cfg.Probe = func([]int32) { seen++ }
+	probed := allocs(cfg)
+	if seen != 6*res.Matches {
+		t.Fatalf("probe saw %d matches over 6 runs, want %d", seen, 6*res.Matches)
+	}
+	if probed-bare > 1 {
+		t.Fatalf("a Probe adds %.0f allocations per run over %d matches, want at most 1", probed-bare, res.Matches)
+	}
+}

@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency observability substrate of the
 // repository: atomic counters, gauges, and log2-bucket histograms grouped
-// into named registries, a low-overhead ring-buffer event tracer with a
+// into named registries, a per-request span recorder (ReqTrace) with a
 // Chrome trace_event exporter, a structured end-of-run report
 // (RunReport), and an expvar/pprof HTTP exporter.
 //
@@ -23,10 +23,10 @@
 // TestObsOverheadGuard benchmark guard in internal/mackey enforces
 // (<3% on the sequential miner).
 //
-// Every method on Registry, Counter, Gauge, Histogram, and Tracer is
-// nil-receiver-safe: a nil registry hands out nil instruments whose
-// mutators are no-ops, so call sites need no "is observability on?"
-// branches.
+// Every method on Registry, Counter, Gauge, Histogram, ReqTrace and
+// SpanRef is nil-receiver-safe: a nil registry hands out nil instruments
+// whose mutators are no-ops, so call sites need no "is observability
+// on?" branches.
 package obs
 
 import (

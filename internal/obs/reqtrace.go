@@ -24,10 +24,10 @@ import (
 // spans into a tree across process boundaries: a shard's root span
 // names the coordinator's per-shard call span as its parent.
 type Span struct {
-	Name     string            `json:"name"`
-	TraceID  string            `json:"trace_id"`
-	SpanID   string            `json:"span_id"`
-	ParentID string            `json:"parent_id,omitempty"`
+	Name     string `json:"name"`
+	TraceID  string `json:"trace_id"`
+	SpanID   string `json:"span_id"`
+	ParentID string `json:"parent_id,omitempty"`
 	// Proc labels the process the span ran in ("" = the process that
 	// assembled the trace; the coordinator stamps shard URLs here).
 	Proc string `json:"proc,omitempty"`
@@ -126,6 +126,19 @@ func (s *SpanRef) Set(k, v string) {
 	s.span.Attrs[k] = v
 }
 
+// Record records a closed child span of s: name ran on worker (the
+// Chrome tid) from start for dur. Engines call it with the request's
+// open mine span as s; nil-safe, and safe for concurrent use.
+func (s *SpanRef) Record(name string, worker int32, start time.Time, dur time.Duration) {
+	if s == nil {
+		return
+	}
+	s.rt.record(Span{
+		Name: name, TraceID: s.span.TraceID, SpanID: NewSpanID(), ParentID: s.span.SpanID,
+		Worker: worker, StartUnixNS: start.UnixNano(), DurNS: dur.Nanoseconds(),
+	})
+}
+
 // End closes the span and records it on the request trace; nil-safe.
 func (s *SpanRef) End() {
 	if s == nil {
@@ -165,28 +178,6 @@ func (rt *ReqTrace) Attr(k string) string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.root.Attrs[k]
-}
-
-// ImportTracer converts the ring-buffer events of an engine Tracer into
-// spans parented under parentID. Events tagged with a different trace
-// id are skipped (shared rings may hold other requests' spans); events
-// tagged with this request's id or untagged are imported.
-func (rt *ReqTrace) ImportTracer(tr *Tracer, parentID string) {
-	if rt == nil || tr == nil {
-		return
-	}
-	base := tr.Base()
-	for _, ev := range tr.Events() {
-		if ev.Trace != "" && ev.Trace != rt.TraceID() {
-			continue
-		}
-		rt.record(Span{
-			Name: ev.Name, TraceID: rt.tc.TraceID, SpanID: NewSpanID(),
-			ParentID: parentID, Worker: ev.Worker,
-			StartUnixNS: base.Add(time.Duration(ev.StartNS)).UnixNano(),
-			DurNS:       ev.DurNS,
-		})
-	}
 }
 
 // Import merges spans from another process (a shard trace fragment),
@@ -369,20 +360,17 @@ func (ts *TraceStore) Get(traceID string) []Span {
 	return out
 }
 
-// WriteChromeTrace renders a stored trace in the Chrome trace_event
-// format: one "X" event per span, processes named by their Proc label
-// (pid 1 = the local process), timestamps rebased to the earliest span.
-// Returns false when the trace id is unknown.
-func (ts *TraceStore) WriteChromeTrace(w io.Writer, traceID string) (bool, error) {
-	spans := ts.Get(traceID)
-	if len(spans) == 0 {
-		return false, nil
-	}
-	var t0 int64 = spans[0].StartUnixNS
+// WriteChromeTrace writes spans in the Chrome trace_event JSON format
+// (loadable in chrome://tracing and https://ui.perfetto.dev): one
+// complete ("X") event per span with microsecond timestamps rebased to
+// the earliest span, the worker id as the thread id, and processes named
+// by their Proc label (pid 1 = the local process).
+func WriteChromeTrace(w io.Writer, spans []Span) error {
+	var t0 int64
 	procs := map[string]int{"": 1}
 	procOrder := []string{""}
-	for _, sp := range spans {
-		if sp.StartUnixNS < t0 {
+	for i, sp := range spans {
+		if i == 0 || sp.StartUnixNS < t0 {
 			t0 = sp.StartUnixNS
 		}
 		if _, ok := procs[sp.Proc]; !ok {
@@ -390,49 +378,35 @@ func (ts *TraceStore) WriteChromeTrace(w io.Writer, traceID string) (bool, error
 			procOrder = append(procOrder, sp.Proc)
 		}
 	}
+	// A bufio.Writer's first error sticks, so Flush reports it.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return true, err
-	}
-	first := true
-	comma := func() error {
-		if first {
-			first = false
-			return nil
-		}
-		return bw.WriteByte(',')
-	}
-	for _, proc := range procOrder {
+	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	for i, proc := range procOrder {
 		name := proc
 		if name == "" {
 			name = "local"
 		}
-		if err := comma(); err != nil {
-			return true, err
+		if i > 0 {
+			bw.WriteByte(',')
 		}
-		if _, err := fmt.Fprintf(bw,
-			`{"name":"process_name","ph":"M","pid":%d,"args":{"name":%s}}`,
-			procs[proc], strconv.Quote(name)); err != nil {
-			return true, err
-		}
+		fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":%d,"args":{"name":%s}}`,
+			procs[proc], strconv.Quote(name))
 	}
 	for _, sp := range spans {
-		if err := comma(); err != nil {
-			return true, err
-		}
-		if _, err := fmt.Fprintf(bw,
-			`{"name":%s,"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":{"span_id":%s,"parent_id":%s%s}}`,
+		fmt.Fprintf(bw,
+			`,{"name":%s,"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":{"span_id":%s,"parent_id":%s%s}}`,
 			strconv.Quote(sp.Name), procs[sp.Proc], sp.Worker,
 			formatMicros(sp.StartUnixNS-t0), formatMicros(sp.DurNS),
 			strconv.Quote(sp.SpanID), strconv.Quote(sp.ParentID),
-			attrArgs(sp.Attrs)); err != nil {
-			return true, err
-		}
+			attrArgs(sp.Attrs))
 	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return true, err
-	}
-	return true, bw.Flush()
+	bw.WriteString("]}\n")
+	return bw.Flush()
+}
+
+// formatMicros renders ns as a decimal microsecond count ("12.345").
+func formatMicros(ns int64) string {
+	return strconv.FormatFloat(float64(ns)/1e3, 'f', 3, 64)
 }
 
 // attrArgs renders span attrs as extra JSON object members (",k":"v"...)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -150,6 +151,80 @@ func TestTraceStoreMergeAndEvict(t *testing.T) {
 	}
 }
 
+// TestSpanRecordConcurrent: closed child spans recorded from many
+// goroutines all land on the request trace, under the open span, in
+// start order.
+func TestSpanRecordConcurrent(t *testing.T) {
+	rt := NewReqTrace(NewTraceContext(), "http.count", "")
+	sp := rt.Begin("mine", rt.RootID())
+	base := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				sp.Record("mackey.worker", int32(w), base.Add(time.Duration(i*8+w)), time.Millisecond)
+			}
+		}(w)
+	}
+	wg.Wait()
+	sp.End()
+	spans := rt.Spans()
+	if len(spans) != 802 {
+		t.Fatalf("recorded %d spans, want root + mine + 800", len(spans))
+	}
+	for i, s := range spans[1:] {
+		if i > 0 && s.StartUnixNS < spans[i].StartUnixNS {
+			t.Fatalf("span %d starts before its predecessor", i+1)
+		}
+		if s.Name == "mackey.worker" && (s.ParentID != sp.ID() || s.TraceID != rt.TraceID() || s.DurNS != 1e6) {
+			t.Fatalf("recorded span mangled: %+v", s)
+		}
+	}
+}
+
+// TestChromeTraceFormat checks that the dump is valid JSON in the Trace
+// Event Format: complete ("X") events with microsecond timestamps
+// rebased to the earliest span and the worker id as the thread id.
+func TestChromeTraceFormat(t *testing.T) {
+	now := time.Now().UnixNano()
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, []Span{
+		{Name: "mackey.worker", Worker: 3, StartUnixNS: now + 2000, DurNS: 1500000},
+		{Name: `na"me`, StartUnixNS: now}, // quoting survives
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+		TraceEvents     []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Tid  int     `json:"tid"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid trace JSON: %v\n%s", err, buf.String())
+	}
+	if len(doc.TraceEvents) != 3 || doc.TraceEvents[0].Ph != "M" {
+		t.Fatalf("traceEvents = %+v, want a process meta and 2 spans", doc.TraceEvents)
+	}
+	ev := doc.TraceEvents[1]
+	if ev.Name != "mackey.worker" || ev.Ph != "X" || ev.Tid != 3 || ev.TS != 2 || ev.Dur != 1500 {
+		t.Fatalf("event mangled: %+v", ev)
+	}
+	if doc.TraceEvents[2].Name != `na"me` || doc.TraceEvents[2].TS != 0 {
+		t.Fatalf("quoted event mangled: %+v", doc.TraceEvents[2])
+	}
+	buf.Reset()
+	if err := WriteChromeTrace(&buf, nil); err != nil || !json.Valid(buf.Bytes()) {
+		t.Fatalf("empty trace: %v %q", err, buf.String())
+	}
+}
+
 func TestWriteChromeTrace(t *testing.T) {
 	ts := NewTraceStore(8)
 	id := strings.Repeat("c", 32)
@@ -160,9 +235,8 @@ func TestWriteChromeTrace(t *testing.T) {
 			Proc: "http://s1", StartUnixNS: now + 100, DurNS: 4000, Attrs: map[string]string{"engine": "exact"}},
 	})
 	var buf bytes.Buffer
-	found, err := ts.WriteChromeTrace(&buf, id)
-	if err != nil || !found {
-		t.Fatalf("WriteChromeTrace: found=%v err=%v", found, err)
+	if err := WriteChromeTrace(&buf, ts.Get(id)); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var doc struct {
 		TraceEvents []struct {
@@ -194,9 +268,6 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if len(pids) != 2 {
 		t.Fatalf("local and shard spans should land in distinct pids, got %v", pids)
-	}
-	if ok, _ := ts.WriteChromeTrace(&buf, strings.Repeat("d", 32)); ok {
-		t.Fatal("unknown trace id reported found")
 	}
 }
 

@@ -127,12 +127,6 @@ type Controller struct {
 	// the Controller because every long-running engine already threads one
 	// — the injection hooks need no new plumbing and stay build-tag-free.
 	fault *faultinject.Plan
-
-	// traceID is the distributed trace id of the request this run serves
-	// ("" outside traced requests). It rides on the Controller for the
-	// same reason the fault plan does: every engine already threads one,
-	// so engine-side span emission needs no new plumbing.
-	traceID string
 }
 
 // New builds a Controller for one run. ctx may be nil (treated as
@@ -201,25 +195,6 @@ func (c *Controller) FaultPlan() *faultinject.Plan {
 		return nil
 	}
 	return c.fault
-}
-
-// SetTraceID tags the run with a distributed trace id. Call before
-// handing the controller to workers (not concurrency-safe afterwards,
-// like SetFaultPlan).
-func (c *Controller) SetTraceID(id string) {
-	if c != nil {
-		c.traceID = id
-	}
-}
-
-// TraceID returns the run's distributed trace id ("" when untraced or
-// on a nil controller). Engines tag emitted spans with it so
-// cross-process trace assembly can attribute them to the request.
-func (c *Controller) TraceID() string {
-	if c == nil {
-		return ""
-	}
-	return c.traceID
 }
 
 // Budget returns the budget the controller was created with.

@@ -377,7 +377,7 @@ type job struct {
 // answer.
 func (s *Server) serve(w http.ResponseWriter, q *Admitted, j job) {
 	mq, rt := j.query, q.Trace
-	mq.Workers, mq.Chaos, mq.Obs, mq.TraceID = s.cfg.Workers, s.cfg.Chaos, s.obs, rt.TraceID()
+	mq.Workers, mq.Chaos, mq.Obs = s.cfg.Workers, s.cfg.Chaos, s.obs
 	if err := mq.Validate(); err != nil {
 		WriteError(w, http.StatusBadRequest, err.Error(), 0)
 		return
@@ -404,9 +404,7 @@ func (s *Server) serve(w http.ResponseWriter, q *Admitted, j job) {
 	var err error
 	if decision != Degrade {
 		msp := rt.Begin(j.span, rt.RootID())
-		if rt != nil {
-			mq.Trace = obs.NewTracer(128)
-		}
+		mq.Trace = msp
 		res, err = mint.Run(q.Ctx, g, mq)
 		msp.Set("engine", res.Engine)
 		if len(res.Kernels) > 0 {
@@ -415,7 +413,6 @@ func (s *Server) serve(w http.ResponseWriter, q *Admitted, j job) {
 			msp.Set("kernels", strings.Join(res.Kernels, ","))
 		}
 		msp.End()
-		rt.ImportTracer(mq.Trace, msp.ID())
 		// A panic, injected fault or poisoned chunk is breaker evidence
 		// even when the estimator still salvaged an answer.
 		s.brk.Record(key, err == nil && res.StopReason != mint.StopFaultInjected && len(res.Supervised.Poisoned) == 0)

@@ -106,11 +106,11 @@ func traceOutcome(status int, rt *obs.ReqTrace) string {
 // handleTraceDump serves one stored trace as a Chrome trace_event JSON
 // document (load it in chrome://tracing or ui.perfetto.dev).
 func (f *Front) handleTraceDump(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if len(f.traces.Get(id)) == 0 {
+	spans := f.traces.Get(r.PathValue("id"))
+	if len(spans) == 0 {
 		WriteError(w, http.StatusNotFound, "unknown trace id", 0)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	f.traces.WriteChromeTrace(w, id) //nolint:errcheck // client gone = nothing to do
+	obs.WriteChromeTrace(w, spans) //nolint:errcheck // client gone = nothing to do
 }

@@ -69,10 +69,9 @@ type Query struct {
 	// Fallback set, the ladder's outcome (fallback.exact, fallback.presto,
 	// fallback.partial, fallback.error).
 	Obs *ObsRegistry
-	// Trace, when non-nil, receives the engines' spans; TraceID tags them
-	// with the request's distributed trace id.
-	Trace   *obs.Tracer
-	TraceID string
+	// Trace, when non-nil, is the request's open mine span: the engines
+	// record their spans as closed children of it.
+	Trace *obs.SpanRef
 }
 
 // ErrInvalidQuery marks a Query whose fields do not combine into a run.
@@ -164,7 +163,6 @@ func Run(ctx context.Context, g *Graph, q Query) (Result, error) {
 	}
 	ctl := runctl.New(ctx, q.Budget)
 	ctl.SetFaultPlan(q.Chaos)
-	ctl.SetTraceID(q.TraceID)
 	opts := mackey.Options{Workers: q.Workers, Ctl: ctl, Obs: q.Obs, Trace: q.Trace, Roots: rootRangeFor(g, q.Roots)}
 	if q.Supervisor != nil {
 		opts.Supervision = mackey.Supervise(*q.Supervisor)
