@@ -1,13 +1,17 @@
 # Tier-1 verification for the Mint reproduction. `make tier1` is the
-# gate every change must keep green: build, vet, the full test suite, the
-# race-enabled run of the concurrent miners, and the serving benchmark's
-# own module.
+# gate every change must keep green: gofmt, build, vet, the full test
+# suite, the race-enabled run of the concurrent miners, and the serving
+# benchmark's own module.
 
 GO ?= go
 
-.PHONY: tier1 build vet test race mintbench-check fuzz bench bench-report bench-compare serve-check
+.PHONY: tier1 fmt build vet test race mintbench-check fuzz bench bench-report bench-compare serve-check
 
-tier1: build vet test race mintbench-check
+tier1: fmt build vet test race mintbench-check
+
+# Every Go file, mintbench's included, is gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

@@ -61,7 +61,7 @@ func main() {
 	datasetName := flag.String("dataset", "", "dataset name or abbreviation (em/mo/ub/su/wt/so)")
 	graphPath := flag.String("graph", "", "SNAP-format temporal graph file (overrides -dataset)")
 	walDir := flag.String("wal", "", "mine the live graph of a streaming-ingest WAL directory (see mintd -ingest-dir); overrides -graph/-dataset")
-	walVerify := flag.Bool("wal-verify", false, "read-only WAL fsck of -wal: per-segment CRC status, torn tail, snapshot fingerprint, epoch; exits non-zero on corruption (no mining)")
+	walVerify := flag.Bool("wal-verify", false, "read-only WAL fsck of -wal: per-segment CRC status, torn tail, snapshot fingerprint, epoch; exits non-zero on corruption Open would refuse (no mining)")
 	scale := flag.Float64("scale", 0.01, "synthetic dataset scale (0,1]")
 	motifName := flag.String("motif", "M1", "evaluation motif: M1..M4")
 	motifSpec := flag.String("motifspec", "", "explicit motif, e.g. \"A->B;B->C;C->A\"")
@@ -454,7 +454,8 @@ func loadWAL(dir string, plan *faultinject.Plan) (*temporal.Graph, error) {
 // verifyWAL is the -wal-verify mode: a read-only fsck of a streaming
 // WAL directory. It never repairs anything — a torn tail is reported,
 // not truncated — so it is safe to run against a directory another
-// process owns. Exits non-zero when the log would not replay cleanly.
+// process owns. Exits non-zero when Open would refuse the log; damage in
+// the final segment is the torn tail Open cuts, reported with exit 0.
 func verifyWAL(dir string) {
 	rep, err := edgelog.Verify(dir)
 	if err != nil {
@@ -471,6 +472,9 @@ func verifyWAL(dir string) {
 	for _, seg := range rep.Segments {
 		fmt.Printf("  segment %s: first seq %d, %d records, %d bytes — %s\n",
 			seg.Name, seg.FirstSeq, seg.Records, seg.Bytes, seg.Status)
+	}
+	if rep.TornTail {
+		fmt.Printf("  torn tail: %s (Open cuts it)\n", rep.TornAt)
 	}
 	for _, p := range rep.Problems {
 		fmt.Printf("  PROBLEM: %s\n", p)

@@ -8,11 +8,13 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"mint/internal/checkpoint"
+	"mint/internal/edgelog"
 	"mint/internal/mackey"
 	"mint/internal/temporal"
 	"mint/internal/testutil"
@@ -192,5 +194,65 @@ poll:
 	resumed, _ := strconv.Atoi(string(sm[3]))
 	if resumed == 0 {
 		t.Errorf("resume recomputed everything (0 chunks resumed)\n%s", out)
+	}
+}
+
+// TestWALVerify drives -wal-verify on a clean log, on damage in an
+// earlier segment (corruption Open refuses: exit 1 with a PROBLEM line)
+// and on damage in the final segment (the torn tail Open cuts: exit 0).
+func TestWALVerify(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: builds a binary and runs subprocesses")
+	}
+	dir := t.TempDir()
+	bin := buildMine(t, dir)
+	for _, tc := range []struct {
+		name     string
+		flip     func(segs []string) string // the segment to damage, "" for none
+		wantExit int
+		want     string
+	}{
+		{"clean", func([]string) string { return "" }, 0, "wal-verify: OK"},
+		{"earlier", func(segs []string) string { return segs[0] }, 1, "PROBLEM:"},
+		{"final", func(segs []string) string { return segs[len(segs)-1] }, 0, "torn-tail"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wal := filepath.Join(dir, tc.name)
+			l, _, err := edgelog.Open(wal, edgelog.Options{SegmentBytes: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				e := temporal.Edge{Src: temporal.NodeID(i), Dst: temporal.NodeID(i + 1), Time: temporal.Timestamp(i)}
+				if _, _, err := l.Append("c", uint64(i+1), []temporal.Edge{e, e}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Close()
+			segs, _ := filepath.Glob(filepath.Join(wal, "wal-*.seg"))
+			if len(segs) < 2 {
+				t.Fatalf("want >=2 segments, got %d", len(segs))
+			}
+			if seg := tc.flip(segs); seg != "" {
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[16+8+2] ^= 0xFF // inside the first record's payload
+				if err := os.WriteFile(seg, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, err := exec.Command(bin, "-wal-verify", "-wal", wal).CombinedOutput()
+			exit := 0
+			if ee, ok := err.(*exec.ExitError); ok {
+				exit = ee.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if exit != tc.wantExit || !strings.Contains(string(out), tc.want) {
+				t.Fatalf("exit %d, want %d with %q in the output:\n%s", exit, tc.wantExit, tc.want, out)
+			}
+		})
 	}
 }

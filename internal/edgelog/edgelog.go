@@ -19,9 +19,9 @@ package edgelog
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -114,17 +114,15 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	logState
 	f        *os.File
 	active   segment
 	size     int64
-	nextSeq  uint64
-	epoch    uint64
 	unsynced int
 	broken   bool
 	closed   bool
-	segments []segment // includes active as the last entry
-	clients  map[string]uint64
+	segments []segment      // includes active as the last entry
 	attempts map[uint64]int // chaos retry ordinals per record seq
 	buf      []byte
 	// activeSynced is the durable (fsynced) byte length of the active
@@ -146,6 +144,52 @@ type ReplayResult struct {
 	TruncateAt string
 }
 
+// logState is what a record history determines: the next sequence, the
+// epoch, and the idempotency ledger. Replay, Verify and every append
+// fold records into it with the same rules.
+type logState struct {
+	nextSeq uint64
+	epoch   uint64
+	clients map[string]uint64
+}
+
+// adopt resets the state to a snapshot's (nil: an empty history).
+func (s *logState) adopt(snap *Snapshot) {
+	*s = logState{nextSeq: 1, epoch: 1, clients: map[string]uint64{}}
+	if snap != nil {
+		s.nextSeq = snap.Seq + 1
+		s.epoch = max(snap.Epoch, 1) // snapshots older than epochs carry 0
+		maps.Copy(s.clients, snap.Clients)
+	}
+}
+
+// fold advances the state past rec.
+func (s *logState) fold(rec Record) {
+	s.nextSeq = rec.Seq + 1
+	if rec.ClientID != "" && rec.ClientSeq > s.clients[rec.ClientID] {
+		s.clients[rec.ClientID] = rec.ClientSeq
+	}
+	if rec.Kind == KindEpoch && rec.Epoch > s.epoch {
+		s.epoch = rec.Epoch
+	}
+}
+
+// replay folds a record read back from disk. A record the snapshot
+// already covers is skipped (compaction only removes fully covered
+// segments, so partial overlap is normal); one beyond the next sequence
+// is a gap in the history.
+func (s *logState) replay(rec Record, seg string, off int64) (covered bool, err error) {
+	if rec.Seq < s.nextSeq {
+		return true, nil
+	}
+	if rec.Seq != s.nextSeq {
+		return false, &CorruptError{Segment: seg, Offset: off,
+			Reason: fmt.Sprintf("sequence gap: record %d where %d expected", rec.Seq, s.nextSeq)}
+	}
+	s.fold(rec)
+	return false, nil
+}
+
 func segName(firstSeq uint64) string { return fmt.Sprintf("wal-%016x.seg", firstSeq) }
 
 func parseSegName(name string) (uint64, bool) {
@@ -161,6 +205,81 @@ func parseSegName(name string) (uint64, bool) {
 		return 0, false
 	}
 	return n, true
+}
+
+// listSegments returns the segment files in dir in sequence order:
+// os.ReadDir sorts by name, and fixed-width hex names sort by sequence.
+func listSegments(dir string) ([]segment, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var segs []segment
+	for _, e := range entries {
+		if first, ok := parseSegName(e.Name()); ok {
+			segs = append(segs, segment{name: e.Name(), firstSeq: first})
+		}
+	}
+	return segs, nil
+}
+
+// segScan is what readSegment found in one segment file.
+type segScan struct {
+	size   int64 // file length
+	end    int64 // offset past the last whole record; 0 when the header is damaged
+	damage error // why the header, or the frame at end, did not decode; nil when clean
+}
+
+// cuttable reports whether the damage is what a crash leaves at the end
+// of a log, which Open cuts when it is in the final segment: any frame
+// that does not decode, or a header cut short. A whole header with the
+// wrong magic or version is not crash residue.
+func (sc segScan) cuttable() bool {
+	return sc.end > 0 || errors.Is(sc.damage, ErrTornTail)
+}
+
+// refusal is the error for damage Open does not repair. A torn frame in
+// a non-final segment means records acked after it replayed fine in
+// later segments: cutting it would silently unwrite the middle of the
+// history.
+func (sc segScan) refusal(seg string) error {
+	if errors.Is(sc.damage, ErrTornTail) {
+		return &CorruptError{Segment: seg, Offset: sc.end,
+			Reason: fmt.Sprintf("segment ends mid-record but is not the last segment (%v)", sc.damage)}
+	}
+	return sc.damage
+}
+
+// readSegment is the one segment reader, shared by Open's replay,
+// ReadRecords and Verify. It checks the header and decodes frames up to
+// limit bytes (the whole file when limit < 0), handing each record with
+// its offset and framed length to fn. It stops at the first damage and
+// reports it in the segScan: what damage means is the caller's decision.
+// err is a read failure or fn's error.
+func readSegment(dir, name string, limit int64, fn func(rec Record, off int64, n int) error) (segScan, error) {
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	sc := segScan{size: int64(len(data))}
+	if err != nil {
+		return sc, err
+	}
+	if limit >= 0 && limit < sc.size {
+		data = data[:limit]
+	}
+	if sc.damage = checkHeader(data, name); sc.damage != nil {
+		return sc, nil
+	}
+	for sc.end = headerLen; sc.end < int64(len(data)); {
+		rec, n, err := decodeRecordAt(data[sc.end:], name, sc.end)
+		if err != nil {
+			sc.damage = err
+			return sc, nil
+		}
+		if err := fn(rec, sc.end, n); err != nil {
+			return sc, err
+		}
+		sc.end += int64(n)
+	}
+	return sc, nil
 }
 
 // Open loads (or creates) the log in dir: it reads the snapshot if one
@@ -179,40 +298,17 @@ func Open(dir string, opts Options) (*Log, ReplayResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, res, err
 	}
-	l := &Log{
-		dir:      dir,
-		opts:     opts,
-		clients:  map[string]uint64{},
-		attempts: map[uint64]int{},
-	}
+	l := &Log{dir: dir, opts: opts, attempts: map[uint64]int{}}
 
-	snap, err := loadSnapshot(filepath.Join(dir, snapshotName))
+	snap, err := LoadSnapshot(dir)
 	if err != nil {
 		return nil, res, err
 	}
 	res.Snapshot = snap
-	l.nextSeq = 1
-	l.epoch = 1
-	if snap != nil {
-		l.nextSeq = snap.Seq + 1
-		if snap.Epoch > 0 {
-			l.epoch = snap.Epoch
-		}
-		for id, cs := range snap.Clients {
-			l.clients[id] = cs
-		}
-	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	l.adopt(snap)
+	if l.segments, err = listSegments(dir); err != nil {
 		return nil, res, err
 	}
-	for _, e := range entries {
-		if first, ok := parseSegName(e.Name()); ok {
-			l.segments = append(l.segments, segment{name: e.Name(), firstSeq: first})
-		}
-	}
-	sort.Slice(l.segments, func(i, j int) bool { return l.segments[i].firstSeq < l.segments[j].firstSeq })
 
 	var replayedBytes int64
 	for i, seg := range l.segments {
@@ -239,26 +335,9 @@ func Open(dir string, opts Options) (*Log, ReplayResult, error) {
 	// the snapshot fully covers. Replay skipped their records; finish the
 	// interrupted compaction now (the snapshot is durable) instead of
 	// re-skipping them on every future open.
-	if snap != nil && len(l.segments) > 1 {
-		kept := l.segments[:0]
-		removed := 0
-		for i, seg := range l.segments {
-			covered := i+1 < len(l.segments) && l.segments[i+1].firstSeq <= snap.Seq+1
-			if covered {
-				if err := os.Remove(filepath.Join(dir, seg.name)); err != nil {
-					return nil, res, err
-				}
-				removed++
-				continue
-			}
-			kept = append(kept, seg)
-		}
-		l.segments = kept
-		if removed > 0 {
-			if err := atomicio.SyncDir(dir); err != nil {
-				return nil, res, err
-			}
-			opts.Obs.Counter("edgelog.open_compact_deleted").Add(int64(removed))
+	if snap != nil {
+		if err := l.removeCoveredLocked(snap.Seq, "edgelog.open_compact_deleted"); err != nil {
+			return nil, res, err
 		}
 	}
 
@@ -285,148 +364,94 @@ func Open(dir string, opts Options) (*Log, ReplayResult, error) {
 	}
 
 	l.obsGauges()
-	c := opts.Obs.Counter("edgelog.replay_records")
-	c.Add(int64(len(res.Records)))
+	opts.Obs.Counter("edgelog.replay_records").Add(int64(len(res.Records)))
 	if res.Truncated {
 		opts.Obs.Counter("edgelog.replay_truncated").Add(1)
 	}
 	return l, res, nil
 }
 
-// replaySegment reads one segment, appending decoded records to res and
-// advancing l.nextSeq. For the final segment it repairs a damaged tail by
-// truncating the file; for earlier segments any failure is fatal. On
-// return for the final segment, l.size is the validated append offset.
-// The int return is the number of bytes scanned, for replay progress.
+// replaySegment replays one segment into res and the log state. Damage
+// in the final segment is cut, loudly, in res; damage anywhere else is
+// refused. On return for the final segment, l.size is the validated
+// append offset. The int return is the number of bytes scanned, for
+// replay progress.
 func (l *Log) replaySegment(seg segment, last bool, res *ReplayResult) (int64, error) {
-	path := filepath.Join(l.dir, seg.name)
-	data, err := os.ReadFile(path)
+	sc, err := readSegment(l.dir, seg.name, -1, func(rec Record, off int64, _ int) error {
+		covered, err := l.replay(rec, seg.name, off)
+		if !covered && err == nil {
+			res.Records = append(res.Records, rec)
+		}
+		return err
+	})
 	if err != nil {
-		return 0, err
+		return sc.end, err
 	}
-	damaged := func(off int64, err error) error {
-		if !last {
-			// A short or corrupt record in a non-final segment means records
-			// acked after it replayed fine in later segments — truncating
-			// here would silently unwrite the middle of the history.
-			if errors.Is(err, ErrTornTail) {
-				return &CorruptError{Segment: seg.name, Offset: off,
-					Reason: fmt.Sprintf("segment ends mid-record but is not the last segment (%v)", err)}
-			}
-			return err
+	if sc.damage != nil {
+		if !last || !sc.cuttable() {
+			return sc.end, sc.refusal(seg.name)
 		}
-		// Final segment: anything unreadable at the tail — torn frame or
-		// flipped bytes — is repaired by truncating to the last whole
-		// record. Acked-but-unsynced suffixes die here; that is the
-		// SyncEvery contract, and the truncation is reported loudly.
-		if terr := os.Truncate(path, off); terr != nil {
-			return fmt.Errorf("edgelog: truncating damaged tail of %s at %d: %w (damage: %v)", seg.name, off, terr, err)
-		}
-		if serr := syncFileByName(path); serr != nil {
-			return serr
-		}
-		if serr := atomicio.SyncDir(l.dir); serr != nil {
-			return serr
+		// Acked-but-unsynced suffixes die here; that is the SyncEvery
+		// contract. A short header means a crash between segment create
+		// and header write: the segment holds no records, so rewriting
+		// the header loses nothing.
+		if err := cutTail(l.dir, seg.name, sc.end); err != nil {
+			return sc.end, fmt.Errorf("edgelog: cutting damaged tail of %s at %d: %w (damage: %v)", seg.name, sc.end, err, sc.damage)
 		}
 		res.Truncated = true
-		res.TruncateAt = fmt.Sprintf("%s@%d: %v", seg.name, off, err)
-		l.size = off
-		return nil
-	}
-
-	if err := checkHeader(data, seg.name); err != nil {
-		if len(data) < headerLen && last {
-			// A crash between segment create and header write leaves a
-			// short header; the segment holds no records, so rewriting the
-			// header loses nothing. Simplest repair: truncate to empty and
-			// rewrite the header on reopen via openFreshSegment semantics —
-			// but only when this segment could not contain acked records.
-			if terr := os.Truncate(path, 0); terr == nil {
-				if f, ferr := os.OpenFile(path, os.O_WRONLY, 0o644); ferr == nil {
-					_, werr := f.Write(encodeHeader())
-					serr := f.Sync()
-					cerr := f.Close()
-					if werr == nil && serr == nil && cerr == nil {
-						res.Truncated = true
-						res.TruncateAt = fmt.Sprintf("%s@0: rewrote torn header", seg.name)
-						l.size = headerLen
-						return int64(headerLen), nil
-					}
-				}
-			}
-			return 0, fmt.Errorf("edgelog: repairing torn header of %s: %w", seg.name, err)
-		}
-		return 0, err
-	}
-
-	off := int64(headerLen)
-	for off < int64(len(data)) {
-		rec, n, err := decodeRecordAt(data[off:], seg.name, off)
-		if err != nil {
-			return off, damaged(off, err)
-		}
-		if rec.Seq < l.nextSeq {
-			// Already covered by the snapshot (compaction only removes
-			// fully-covered segments, so partial overlap is normal).
-			off += int64(n)
-			continue
-		}
-		if rec.Seq != l.nextSeq {
-			return off, &CorruptError{Segment: seg.name, Offset: off,
-				Reason: fmt.Sprintf("sequence gap: record %d where %d expected", rec.Seq, l.nextSeq)}
-		}
-		res.Records = append(res.Records, rec)
-		l.nextSeq = rec.Seq + 1
-		if rec.ClientID != "" && rec.ClientSeq > l.clients[rec.ClientID] {
-			l.clients[rec.ClientID] = rec.ClientSeq
-		}
-		if rec.Kind == KindEpoch && rec.Epoch > l.epoch {
-			l.epoch = rec.Epoch
-		}
-		off += int64(n)
+		res.TruncateAt = fmt.Sprintf("%s@%d: %v", seg.name, sc.end, sc.damage)
+		sc.end = max(sc.end, headerLen) // past a rewritten header
 	}
 	if last {
-		l.size = off
+		l.size = sc.end
 	}
-	return off, nil
+	return sc.end, nil
 }
 
-func syncFileByName(path string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+// cutTail truncates segment name to off bytes — rewriting its header when
+// off is 0 — and makes the cut durable.
+func cutTail(dir, name string, off int64) error {
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	serr := f.Sync()
-	cerr := f.Close()
-	if serr != nil {
-		return serr
+	err = f.Truncate(off)
+	if err == nil && off == 0 {
+		_, err = f.Write(encodeHeader())
 	}
-	return cerr
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return atomicio.SyncDir(dir)
 }
 
 // openFreshSegmentLocked creates and syncs a new active segment named by
 // the next record sequence.
 func (l *Log) openFreshSegmentLocked() error {
 	seg := segment{name: segName(l.nextSeq), firstSeq: l.nextSeq}
-	f, err := os.OpenFile(filepath.Join(l.dir, seg.name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	path := filepath.Join(l.dir, seg.name)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(encodeHeader()); err != nil {
-		f.Close()
-		os.Remove(filepath.Join(l.dir, seg.name))
-		return err
+	_, err = f.Write(encodeHeader())
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(filepath.Join(l.dir, seg.name))
-		return err
+	if err == nil {
+		err = atomicio.SyncDir(l.dir)
 	}
-	if err := atomicio.SyncDir(l.dir); err != nil {
+	if err != nil {
 		f.Close()
 		// Remove the orphan so a retry's O_EXCL create does not hit
 		// EEXIST forever.
-		os.Remove(filepath.Join(l.dir, seg.name))
+		os.Remove(path)
 		return err
 	}
 	l.f = f
@@ -477,12 +502,6 @@ func (l *Log) rotateLocked() error {
 func (l *Log) Append(clientID string, clientSeq uint64, edges []temporal.Edge) (Record, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return Record{}, false, errors.New("edgelog: append on closed log")
-	}
-	if l.broken {
-		return Record{}, false, ErrBroken
-	}
 	if err := validateEdges(edges); err != nil {
 		return Record{}, false, err
 	}
@@ -502,38 +521,48 @@ func (l *Log) Append(clientID string, clientSeq uint64, edges []temporal.Edge) (
 		l.opts.Obs.Counter("edgelog.append_dup").Add(1)
 		return Record{}, true, nil
 	}
-
-	seq := l.nextSeq
-	attempt := l.attempts[seq]
-	l.attempts[seq] = attempt + 1
-	fail := func(err error) (Record, bool, error) {
-		l.opts.Obs.Counter("edgelog.append_errors").Add(1)
+	rec := Record{Seq: l.nextSeq, Kind: KindEdges, ClientID: clientID, ClientSeq: clientSeq, Edges: edges}
+	if err := l.appendLocked(rec, false); err != nil {
 		return Record{}, false, err
 	}
-	if err := l.opts.Chaos.Fire("edgelog.append", int64(seq), attempt); err != nil {
-		return fail(err)
-	}
-
-	rec := Record{Seq: seq, Kind: KindEdges, ClientID: clientID, ClientSeq: clientSeq, Edges: edges}
-	if err := l.writeRecordLocked(rec, false, attempt); err != nil {
-		return fail(err)
-	}
-
-	delete(l.attempts, seq)
-	if clientID != "" {
-		l.clients[clientID] = clientSeq
-	}
-	l.opts.Obs.Counter("edgelog.appends").Add(1)
 	l.opts.Obs.Counter("edgelog.append_edges").Add(int64(len(edges)))
-	l.obsGauges()
 	return rec, false, nil
+}
+
+// appendLocked is the one write path for all four record kinds, after
+// the caller validated rec: it refuses a closed or broken log, fires the
+// edgelog.append chaos site keyed (seq, attempt) — a retry of the same
+// seq re-rolls the plan — writes the record (forceSync overrides
+// SyncEvery), and folds it into the log state.
+func (l *Log) appendLocked(rec Record, forceSync bool) error {
+	if l.closed {
+		return errors.New("edgelog: append on closed log")
+	}
+	if l.broken {
+		return ErrBroken
+	}
+	attempt := l.attempts[rec.Seq]
+	l.attempts[rec.Seq] = attempt + 1
+	err := l.opts.Chaos.Fire("edgelog.append", int64(rec.Seq), attempt)
+	if err == nil {
+		err = l.writeRecordLocked(rec, forceSync, attempt)
+	}
+	if err != nil {
+		l.opts.Obs.Counter("edgelog.append_errors").Add(1)
+		return err
+	}
+	delete(l.attempts, rec.Seq)
+	l.fold(rec)
+	l.opts.Obs.Counter("edgelog.appends").Add(1)
+	l.obsGauges()
+	return nil
 }
 
 // writeRecordLocked frames rec at the tail of the active segment
 // (rotating first if needed), applies the sync policy (forceSync
 // overrides SyncEvery), and rolls the file back on any failure so a bad
-// frame can never replay. On success l.size, l.nextSeq and the durable
-// watermark are advanced; on rollback failure the log is marked broken.
+// frame can never replay. On success l.size and the durable watermark
+// are advanced; on rollback failure the log is marked broken.
 func (l *Log) writeRecordLocked(rec Record, forceSync bool, attempt int) error {
 	// l.f == nil means a previous rotation sealed the old segment but
 	// failed to open a fresh one; rotateLocked retries just the open.
@@ -576,7 +605,6 @@ func (l *Log) writeRecordLocked(rec Record, forceSync bool, attempt int) error {
 	}
 
 	l.size += int64(len(l.buf))
-	l.nextSeq = rec.Seq + 1
 	if synced || l.opts.SyncEvery == SyncNever {
 		l.activeSynced = l.size
 	}
@@ -590,32 +618,14 @@ func (l *Log) writeRecordLocked(rec Record, forceSync bool, attempt int) error {
 func (l *Log) BumpEpoch(to uint64) (Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return Record{}, errors.New("edgelog: append on closed log")
-	}
-	if l.broken {
-		return Record{}, ErrBroken
-	}
 	if to <= l.epoch {
 		return Record{}, fmt.Errorf("edgelog: epoch bump to %d not beyond current epoch %d", to, l.epoch)
 	}
-	seq := l.nextSeq
-	attempt := l.attempts[seq]
-	l.attempts[seq] = attempt + 1
-	if err := l.opts.Chaos.Fire("edgelog.append", int64(seq), attempt); err != nil {
-		l.opts.Obs.Counter("edgelog.append_errors").Add(1)
+	rec := Record{Seq: l.nextSeq, Kind: KindEpoch, Epoch: to}
+	if err := l.appendLocked(rec, true); err != nil {
 		return Record{}, err
 	}
-	rec := Record{Seq: seq, Kind: KindEpoch, Epoch: to}
-	if err := l.writeRecordLocked(rec, true, attempt); err != nil {
-		l.opts.Obs.Counter("edgelog.append_errors").Add(1)
-		return Record{}, err
-	}
-	delete(l.attempts, seq)
-	l.epoch = to
-	l.opts.Obs.Counter("edgelog.appends").Add(1)
 	l.opts.Obs.Counter("edgelog.epoch_bumps").Add(1)
-	l.obsGauges()
 	return rec, nil
 }
 
@@ -625,30 +635,13 @@ func (l *Log) BumpEpoch(to uint64) (Record, error) {
 func (l *Log) AppendStanding(op StandingOp) (Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return Record{}, errors.New("edgelog: append on closed log")
-	}
-	if l.broken {
-		return Record{}, ErrBroken
-	}
 	if err := validateStanding(&op); err != nil {
 		return Record{}, err
 	}
-	seq := l.nextSeq
-	attempt := l.attempts[seq]
-	l.attempts[seq] = attempt + 1
-	if err := l.opts.Chaos.Fire("edgelog.append", int64(seq), attempt); err != nil {
-		l.opts.Obs.Counter("edgelog.append_errors").Add(1)
+	rec := Record{Seq: l.nextSeq, Kind: KindStanding, Standing: &op}
+	if err := l.appendLocked(rec, true); err != nil {
 		return Record{}, err
 	}
-	rec := Record{Seq: seq, Kind: KindStanding, Standing: &op}
-	if err := l.writeRecordLocked(rec, true, attempt); err != nil {
-		l.opts.Obs.Counter("edgelog.append_errors").Add(1)
-		return Record{}, err
-	}
-	delete(l.attempts, seq)
-	l.opts.Obs.Counter("edgelog.appends").Add(1)
-	l.obsGauges()
 	return rec, nil
 }
 
@@ -662,12 +655,6 @@ func (l *Log) AppendStanding(op StandingOp) (Record, error) {
 func (l *Log) AppendRecord(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("edgelog: append on closed log")
-	}
-	if l.broken {
-		return ErrBroken
-	}
 	if rec.Seq != l.nextSeq {
 		return fmt.Errorf("edgelog: replicated record seq %d where %d expected: source and local histories diverged", rec.Seq, l.nextSeq)
 	}
@@ -687,27 +674,7 @@ func (l *Log) AppendRecord(rec Record) error {
 	default:
 		return fmt.Errorf("%w: replicated record of unknown kind %d", ErrInvalidEdge, rec.Kind)
 	}
-	seq := rec.Seq
-	attempt := l.attempts[seq]
-	l.attempts[seq] = attempt + 1
-	if err := l.opts.Chaos.Fire("edgelog.append", int64(seq), attempt); err != nil {
-		l.opts.Obs.Counter("edgelog.append_errors").Add(1)
-		return err
-	}
-	if err := l.writeRecordLocked(rec, false, attempt); err != nil {
-		l.opts.Obs.Counter("edgelog.append_errors").Add(1)
-		return err
-	}
-	delete(l.attempts, seq)
-	if rec.ClientID != "" && rec.ClientSeq > l.clients[rec.ClientID] {
-		l.clients[rec.ClientID] = rec.ClientSeq
-	}
-	if rec.Kind == KindEpoch && rec.Epoch > l.epoch {
-		l.epoch = rec.Epoch
-	}
-	l.opts.Obs.Counter("edgelog.appends").Add(1)
-	l.obsGauges()
-	return nil
+	return l.appendLocked(rec, false)
 }
 
 // ErrCompacted reports that the requested sequence predates the oldest
@@ -742,35 +709,29 @@ func (l *Log) ReadRecords(fromSeq uint64, max int) ([]Record, int64, error) {
 		if i+1 < len(l.segments) && l.segments[i+1].firstSeq <= fromSeq {
 			continue // wholly before fromSeq
 		}
-		data, err := os.ReadFile(filepath.Join(l.dir, seg.name))
-		if err != nil {
-			return nil, 0, err
-		}
-		limit := int64(len(data))
-		if seg.name == l.active.name && l.activeSynced < limit {
+		limit := int64(-1)
+		if seg.name == l.active.name {
 			// Unsynced tail: written but not yet durable. Never ship it.
 			limit = l.activeSynced
 		}
-		if err := checkHeader(data, seg.name); err != nil {
-			return nil, 0, err
-		}
-		off := int64(headerLen)
-		for off < limit {
-			// The durable watermark always lands on a record boundary, so
-			// the prefix below limit must decode cleanly.
-			rec, n, err := decodeRecordAt(data[off:limit], seg.name, off)
-			if err != nil {
-				return nil, 0, err
-			}
-			off += int64(n)
+		sc, err := readSegment(l.dir, seg.name, limit, func(rec Record, _ int64, n int) error {
 			if rec.Seq < fromSeq {
-				continue
+				return nil
 			}
 			if len(recs) < max {
 				recs = append(recs, rec)
 			} else {
 				tailBytes += int64(n)
 			}
+			return nil
+		})
+		if err == nil {
+			// The durable watermark always lands on a record boundary, so
+			// the prefix below limit must decode cleanly.
+			err = sc.damage
+		}
+		if err != nil {
+			return nil, 0, err
 		}
 	}
 	return recs, tailBytes, nil
@@ -781,25 +742,6 @@ func (l *Log) Epoch() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.epoch
-}
-
-// Sync flushes any unsynced appends (a no-op under SyncEvery=1).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.f == nil {
-		return nil
-	}
-	if l.unsynced == 0 {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.unsynced = 0
-	l.activeSynced = l.size
-	l.opts.Obs.Counter("edgelog.fsyncs").Add(1)
-	return nil
 }
 
 // NextSeq returns the sequence the next accepted append will get.

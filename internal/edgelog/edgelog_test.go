@@ -288,7 +288,7 @@ func TestCorruptLogNeverWrongGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		l, res, err := Open(dir, Options{SegmentBytes: 512})
+		l, res, err := verifyThenOpen(t, dir, Options{SegmentBytes: 512})
 		if err != nil {
 			continue // loud refusal is always acceptable
 		}
@@ -304,6 +304,64 @@ func TestCorruptLogNeverWrongGraph(t *testing.T) {
 					trial, i, r, orig[i])
 			}
 		}
+	}
+}
+
+// verifyThenOpen runs Verify and then Open on dir and requires the two
+// to agree: Verify is OK exactly when Open succeeds, reports a torn tail
+// exactly when Open cuts one, and predicts the recovered position.
+func verifyThenOpen(t *testing.T, dir string, opts Options) (*Log, ReplayResult, error) {
+	t.Helper()
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatalf("Verify(%s): %v", dir, err)
+	}
+	l, res, err := Open(dir, opts)
+	if rep.OK != (err == nil) {
+		t.Fatalf("Verify OK=%v (problems %q) but Open err=%v", rep.OK, rep.Problems, err)
+	}
+	if err != nil {
+		return nil, res, err
+	}
+	if rep.TornTail != res.Truncated || rep.TornAt != res.TruncateAt {
+		t.Fatalf("Verify TornTail=%v (%s) but Open Truncated=%v (%s)", rep.TornTail, rep.TornAt, res.Truncated, res.TruncateAt)
+	}
+	if rep.NextSeq != l.NextSeq() || rep.Epoch != l.Epoch() {
+		t.Fatalf("Verify predicts next seq %d epoch %d, Open recovered %d, %d", rep.NextSeq, rep.Epoch, l.NextSeq(), l.Epoch())
+	}
+	return l, res, nil
+}
+
+// TestZeroFilledTailIsCut: a crash that extended the file before its
+// data reached the disk leaves a zero-filled tail. Verify and Open must
+// both treat it as the torn tail of the final segment and keep every
+// whole record before it.
+func TestZeroFilledTailIsCut(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	for i := 0; i < 5; i++ {
+		if _, _, err := l.Append("c", uint64(i+1), edgeBatch(i, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	name := l.active.name
+	l.Close()
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	l2, res, err := verifyThenOpen(t, dir, Options{})
+	if err != nil {
+		t.Fatalf("zero-filled tail refused: %v", err)
+	}
+	defer l2.Close()
+	if !res.Truncated || len(res.Records) != 5 {
+		t.Fatalf("zero-filled tail: truncated=%v records=%d, want the cut reported and all 5 records", res.Truncated, len(res.Records))
 	}
 }
 

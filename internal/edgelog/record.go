@@ -25,10 +25,11 @@
 //	op uint8 | delta int64 LE | nameLen uint16 LE | name | specLen uint16 LE | spec
 //
 // Every decoder error is positioned (segment-relative byte offset) and
-// classified: ErrTornTail means "the bytes simply stop mid-frame" — the
-// normal signature of a crash during append, recoverable by truncating to
-// the last whole record — while any CRC or structural mismatch inside a
-// complete frame is corruption and must never be repaired silently.
+// classified: ErrTornTail means "the bytes simply stop mid-frame", while
+// a CRC or structural mismatch inside a complete frame is a
+// *CorruptError. Where the damage sits decides what Open does with it:
+// in the final segment either kind is a crash's residue and is cut,
+// loudly, at the last whole record; anywhere else it is refused.
 package edgelog
 
 import (
@@ -114,15 +115,16 @@ type Record struct {
 }
 
 // ErrTornTail tags decode failures consistent with a write that was cut
-// off mid-record (crash, SIGKILL, full disk). Open repairs these by
-// truncating the segment at the last whole record — but only in the final
-// segment; a torn middle segment means bytes after it were acked against
-// a hole and is corruption.
+// off mid-record (crash, SIGKILL, full disk). Like any damage, Open cuts
+// it only in the final segment; a torn middle segment means bytes after
+// it were acked against a hole and is corruption.
 var ErrTornTail = errors.New("edgelog: torn record tail")
 
 // CorruptError is a positioned decode failure: what went wrong and at
 // which byte offset of which segment. It deliberately does not unwrap to
-// ErrTornTail — corruption is never repairable.
+// ErrTornTail: Open refuses it wherever it is not the final segment's
+// tail, including a torn frame in an earlier segment, which it reports
+// as a CorruptError.
 type CorruptError struct {
 	Segment string // file name, "" when decoding a bare buffer
 	Offset  int64  // byte offset of the failed frame within the segment

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mint/internal/faultinject"
@@ -212,34 +214,56 @@ func TestVerifyReportsCleanAndCorrupt(t *testing.T) {
 		t.Fatal("no segments reported")
 	}
 
-	// Flip one byte mid-segment: Verify must turn !OK and name the
-	// segment, and must NOT modify anything (read-only fsck).
 	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	target := segs[len(segs)-1]
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
+	if len(segs) < 2 {
+		t.Fatalf("want >=2 segments, got %d", len(segs))
 	}
-	if len(data) <= headerLen+4 {
-		t.Skip("segment too small to corrupt meaningfully")
+	// flip flips one byte of a record in seg, runs Verify, checks that
+	// Verify wrote nothing, and restores the segment.
+	flip := func(seg string) *VerifyReport {
+		t.Helper()
+		orig, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := append([]byte(nil), orig...)
+		data[headerLen+10] ^= 0xFF
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Verify(dir)
+		if err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		if after, _ := os.ReadFile(seg); !reflect.DeepEqual(after, data) {
+			t.Fatal("Verify modified the log")
+		}
+		if err := os.WriteFile(seg, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	before := append([]byte(nil), data...)
-	data[headerLen+10] ^= 0xFF
-	if err := os.WriteFile(target, data, 0o644); err != nil {
-		t.Fatal(err)
+
+	// A flipped byte in the final segment is the torn tail Open cuts:
+	// salvageable, reported with its offset.
+	last := filepath.Base(segs[len(segs)-1])
+	rep2 := flip(segs[len(segs)-1])
+	if !rep2.OK || !rep2.TornTail || len(rep2.Problems) != 0 {
+		t.Fatalf("final-segment damage: OK=%v TornTail=%v problems=%q, want a repairable torn tail", rep2.OK, rep2.TornTail, rep2.Problems)
 	}
-	rep2, err := Verify(dir)
-	if err != nil {
-		t.Fatalf("Verify corrupt: %v", err)
+	if want := last + "@" + strconv.Itoa(headerLen) + ":"; !strings.HasPrefix(rep2.TornAt, want) {
+		t.Fatalf("TornAt = %q, want it to start %q", rep2.TornAt, want)
 	}
-	if rep2.OK {
-		t.Fatal("Verify passed a corrupted segment")
+	if st := rep2.Segments[len(rep2.Segments)-1].Status; st != "torn-tail" {
+		t.Fatalf("final segment status %q, want torn-tail", st)
 	}
-	after, _ := os.ReadFile(target)
-	if !reflect.DeepEqual(after, data) {
-		t.Fatal("Verify modified the log")
+
+	// The same flip in an earlier segment is corruption Open refuses.
+	first := filepath.Base(segs[0])
+	rep3 := flip(segs[0])
+	if rep3.OK || rep3.TornTail || len(rep3.Problems) == 0 || !strings.Contains(rep3.Problems[0], first) {
+		t.Fatalf("earlier-segment damage: OK=%v TornTail=%v problems=%q, want a problem naming %s", rep3.OK, rep3.TornTail, rep3.Problems, first)
 	}
-	_ = before
 }
 
 // TestCompactCrashWindowReplaysExactly is the compaction crash-window

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 
@@ -97,13 +98,10 @@ func (l *Log) WriteSnapshot(snap *Snapshot) error {
 	if err := l.opts.Chaos.Fire("edgelog.compact", int64(snap.Seq), 0); err != nil {
 		return err
 	}
-	if snap.Clients == nil && len(l.clients) > 0 {
+	if snap.Clients == nil {
 		// Default the idempotency ledger from the log's own state, so
 		// callers snapshotting "everything up to seq" cannot lose it.
-		snap.Clients = make(map[string]uint64, len(l.clients))
-		for id, cs := range l.clients {
-			snap.Clients[id] = cs
-		}
+		snap.Clients = maps.Clone(l.clients)
 	}
 	if snap.Epoch == 0 {
 		snap.Epoch = l.epoch
@@ -130,30 +128,33 @@ func (l *Log) WriteSnapshot(snap *Snapshot) error {
 		return err
 	}
 
-	// Segment i is fully covered when the next segment starts at or
-	// before snap.Seq+1 (records are seq-contiguous). The active segment
-	// is never deleted.
-	kept := l.segments[:0]
-	removed := 0
-	for i, seg := range l.segments {
-		covered := i+1 < len(l.segments) && l.segments[i+1].firstSeq <= snap.Seq+1
-		if covered {
-			if err := os.Remove(filepath.Join(l.dir, seg.name)); err != nil {
-				return err
-			}
-			removed++
-			continue
-		}
-		kept = append(kept, seg)
-	}
-	l.segments = kept
-	if removed > 0 {
-		if err := atomicio.SyncDir(l.dir); err != nil {
-			return err
-		}
-		l.opts.Obs.Counter("edgelog.compact_deleted").Add(int64(removed))
+	if err := l.removeCoveredLocked(snap.Seq, "edgelog.compact_deleted"); err != nil {
+		return err
 	}
 	l.obsGauges()
+	return nil
+}
+
+// removeCoveredLocked deletes the segments a snapshot at seq fully covers
+// and counts them under counter. A segment is covered when the next one
+// starts at or before seq+1 (records are seq-contiguous), so covered
+// segments are a prefix and the last segment is never removed.
+func (l *Log) removeCoveredLocked(seq uint64, counter string) error {
+	removed := 0
+	for len(l.segments) > 1 && l.segments[1].firstSeq <= seq+1 {
+		if err := os.Remove(filepath.Join(l.dir, l.segments[0].name)); err != nil {
+			return err
+		}
+		l.segments = l.segments[1:]
+		removed++
+	}
+	if removed == 0 {
+		return nil
+	}
+	if err := atomicio.SyncDir(l.dir); err != nil {
+		return err
+	}
+	l.opts.Obs.Counter(counter).Add(int64(removed))
 	return nil
 }
 
@@ -223,42 +224,25 @@ func (l *Log) InstallSnapshot(snap *Snapshot) error {
 	l.activeSynced = 0
 	l.unsynced = 0
 
-	l.nextSeq = cp.Seq + 1
-	l.epoch = 1
-	if cp.Epoch > 0 {
-		l.epoch = cp.Epoch
-	}
-	l.clients = make(map[string]uint64, len(cp.Clients))
-	for id, cs := range cp.Clients {
-		l.clients[id] = cs
-	}
-	if err := l.openFreshSegmentLocked(); err != nil {
-		return err
-	}
-	l.obsGauges()
-	return nil
+	l.adopt(&cp)
+	return l.openFreshSegmentLocked()
 }
 
 // LoadSnapshot reads and verifies the snapshot file in dir without
-// opening the log (nil when none exists). Read-only: used by fsck
-// tooling and by the replication snapshot endpoint.
+// opening the log. A missing file is (nil, nil); any damage is a loud
+// error — snapshots are written atomically, so a torn one means the
+// rename contract was violated and nothing about the directory can be
+// trusted. Open, Verify and the replication snapshot endpoint read
+// snapshots through it.
 func LoadSnapshot(dir string) (*Snapshot, error) {
-	return loadSnapshot(filepath.Join(dir, snapshotName))
-}
-
-// loadSnapshot reads and verifies the snapshot file. A missing file is
-// (nil, nil); any damage is a loud error — snapshots are written
-// atomically, so a torn one means the rename contract was violated and
-// nothing about the directory can be trusted.
-func loadSnapshot(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	name := filepath.Base(path)
+	const name = snapshotName
 	if len(data) < snapHeaderLen {
 		return nil, &CorruptError{Segment: name, Offset: 0,
 			Reason: fmt.Sprintf("snapshot is %d bytes, want at least %d", len(data), snapHeaderLen)}

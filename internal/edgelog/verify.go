@@ -5,13 +5,7 @@
 // follower's log is salvageable before any process touches it.
 package edgelog
 
-import (
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-)
+import "fmt"
 
 // VerifyReport is the result of a read-only log inspection.
 type VerifyReport struct {
@@ -32,9 +26,11 @@ type VerifyReport struct {
 
 	Segments []SegmentReport `json:"segments"`
 
-	// TornTail reports that the final segment ends mid-record — the
-	// normal signature of a crash, repairable by Open's truncation.
-	TornTail bool `json:"torn_tail"`
+	// TornTail reports damage in the final segment — what a crash
+	// leaves behind, repaired by Open's truncation. TornAt says where
+	// (segment@offset) and why.
+	TornTail bool   `json:"torn_tail"`
+	TornAt   string `json:"torn_at,omitempty"`
 	// Problems lists everything Open would refuse to repair. Empty
 	// Problems means the log is salvageable (OK).
 	Problems []string `json:"problems,omitempty"`
@@ -56,16 +52,21 @@ type SegmentReport struct {
 	Status string `json:"status"`
 }
 
-// Verify inspects the log in dir without mutating it. The returned error
-// covers only environment failures (unreadable directory); log damage is
-// reported in the VerifyReport itself.
+// Verify inspects the log in dir without mutating it and reaches Open's
+// verdict: it runs the same segment reader, the same replay rules and
+// the same damage rule. Damage in the final segment is the torn tail
+// Open would cut (TornTail, status "torn-tail", TornAt names the offset);
+// damage in any earlier segment, a sequence gap, or a bad snapshot is a
+// problem Open refuses. The returned error covers only environment
+// failures (unreadable directory); log damage is reported in the
+// VerifyReport itself.
 func Verify(dir string) (*VerifyReport, error) {
-	rep := &VerifyReport{Dir: dir, Epoch: 1, NextSeq: 1}
+	rep := &VerifyReport{Dir: dir}
 	problem := func(format string, args ...any) {
 		rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
 	}
 
-	snap, err := loadSnapshot(filepath.Join(dir, snapshotName))
+	snap, err := LoadSnapshot(dir)
 	if err != nil {
 		problem("snapshot: %v", err)
 	} else if snap != nil {
@@ -74,85 +75,46 @@ func Verify(dir string) (*VerifyReport, error) {
 		rep.SnapshotFingerprint = snap.Fingerprint
 		rep.SnapshotEdges = len(snap.Edges)
 		rep.SnapshotStanding = len(snap.Standing)
-		rep.NextSeq = snap.Seq + 1
-		if snap.Epoch > 0 {
-			rep.Epoch = snap.Epoch
-		}
 	}
+	var st logState
+	st.adopt(snap)
 
-	entries, err := os.ReadDir(dir)
+	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	var segs []segment
-	for _, e := range entries {
-		if first, ok := parseSegName(e.Name()); ok {
-			segs = append(segs, segment{name: e.Name(), firstSeq: first})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
-
-	expect := rep.NextSeq
 	for i, seg := range segs {
-		last := i == len(segs)-1
 		sr := SegmentReport{Name: seg.name, FirstSeq: seg.firstSeq, Status: "ok"}
-		data, err := os.ReadFile(filepath.Join(dir, seg.name))
-		if err != nil {
-			sr.Status = fmt.Sprintf("corrupt: %v", err)
-			problem("%s: %v", seg.name, err)
-			rep.Segments = append(rep.Segments, sr)
-			continue
-		}
-		sr.Bytes = int64(len(data))
-		if err := checkHeader(data, seg.name); err != nil {
-			if errors.Is(err, ErrTornTail) && last {
-				sr.Status = "torn-tail"
-				rep.TornTail = true
-			} else {
-				sr.Status = fmt.Sprintf("corrupt: %v", err)
-				problem("%s: %v", seg.name, err)
-			}
-			rep.Segments = append(rep.Segments, sr)
-			continue
-		}
-		off := int64(headerLen)
-		for off < int64(len(data)) {
-			rec, n, err := decodeRecordAt(data[off:], seg.name, off)
-			if err != nil {
-				if errors.Is(err, ErrTornTail) && last {
-					sr.Status = "torn-tail"
-					rep.TornTail = true
-				} else {
-					sr.Status = fmt.Sprintf("corrupt: %v", err)
-					problem("%s@%d: %v", seg.name, off, err)
-				}
-				break
-			}
-			switch {
-			case rec.Seq < expect:
+		sc, err := readSegment(dir, seg.name, -1, func(rec Record, off int64, _ int) error {
+			covered, err := st.replay(rec, seg.name, off)
+			if covered {
 				sr.Covered++
-			case rec.Seq == expect:
+			} else if err == nil {
 				sr.Records++
-				expect = rec.Seq + 1
-				if rec.Kind == KindEpoch && rec.Epoch > rep.Epoch {
-					rep.Epoch = rec.Epoch
-				}
-			default:
-				sr.Status = fmt.Sprintf("corrupt: sequence gap: record %d where %d expected", rec.Seq, expect)
-				problem("%s@%d: sequence gap: record %d where %d expected", seg.name, off, rec.Seq, expect)
 			}
-			if sr.Status != "ok" {
-				break
+			return err
+		})
+		sr.Bytes = sc.size
+		switch {
+		case err == nil && sc.damage == nil:
+			if sr.Records == 0 && sr.Covered > 0 {
+				sr.Status = "covered"
 			}
-			off += int64(n)
-		}
-		if sr.Status == "ok" && sr.Records == 0 && sr.Covered > 0 {
-			sr.Status = "covered"
+		case err == nil && i == len(segs)-1 && sc.cuttable():
+			sr.Status = "torn-tail"
+			rep.TornTail = true
+			rep.TornAt = fmt.Sprintf("%s@%d: %v", seg.name, sc.end, sc.damage)
+		default:
+			if err == nil {
+				err = sc.refusal(seg.name)
+			}
+			sr.Status = fmt.Sprintf("corrupt: %v", err)
+			problem("%v", err)
 		}
 		rep.Segments = append(rep.Segments, sr)
 	}
 
-	rep.NextSeq = expect
+	rep.NextSeq, rep.Epoch = st.nextSeq, st.epoch
 	rep.OK = len(rep.Problems) == 0
 	return rep, nil
 }

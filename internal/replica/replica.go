@@ -141,29 +141,22 @@ type Config struct {
 	// Client is the HTTP client ("" timeouts are fine: long-polls bound
 	// themselves via WaitMS; nil means a dedicated default client).
 	Client *http.Client
-	// MaxBatch caps records per pull (0 = 512).
-	MaxBatch int
 	// WaitMS is the long-poll hold (0 = 10s).
 	WaitMS int64
-	// RetryBase/RetryCap shape the pull retry backoff
-	// (runctl.Backoff; zeros = 100ms/5s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// BreakerThreshold consecutive pull failures open the per-connection
-	// breaker for BreakerCooldown (0s = threshold 5, cooldown 3s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Obs receives replica.* instruments (nil-safe).
 	Obs *obs.Registry
-	// Logf, when non-nil, receives loud one-line progress/terminal logs.
-	Logf func(format string, args ...any)
 }
 
-func (c *Config) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
-}
+// Pull tuning: records per pull, the pull retry backoff (runctl.Backoff),
+// and the per-connection breaker that breakerThreshold consecutive pull
+// failures open for breakerCooldown.
+const (
+	maxBatch         = 512
+	retryBase        = 100 * time.Millisecond
+	retryCap         = 5 * time.Second
+	breakerThreshold = 5
+	breakerCooldown  = 3 * time.Second
+)
 
 // Follower ----------------------------------------------------------------
 
@@ -189,23 +182,8 @@ func New(cfg Config) (*Follower, error) {
 		return nil, errors.New("replica: follower needs a stream")
 	}
 	cfg.Source = strings.TrimRight(cfg.Source, "/")
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 512
-	}
 	if cfg.WaitMS <= 0 {
 		cfg.WaitMS = 10_000
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 100 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 5 * time.Second
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 3 * time.Second
 	}
 	client := cfg.Client
 	if client == nil {
@@ -262,12 +240,6 @@ func (f *Follower) setState(state, errDetail string) {
 	f.mu.Unlock()
 	if prev != state {
 		f.cfg.Obs.Counter("replica.state." + state).Add(1)
-		if state == StateCaughtUp {
-			f.cfg.logf("replica: %s caught up with %s", f.cfg.Dataset, f.cfg.Source)
-		}
-		if state == StateDiverged || state == StateStaleSource {
-			f.cfg.logf("replica: %s HALTED (%s): %s", f.cfg.Dataset, state, errDetail)
-		}
 	}
 }
 
@@ -308,11 +280,11 @@ func (f *Follower) Run(ctx context.Context) error {
 			}
 			f.mu.Unlock()
 			f.cfg.Obs.Counter("replica.pull_errors").Add(1)
-			delay := runctl.Backoff(failures-1, f.cfg.RetryBase, f.cfg.RetryCap)
-			if failures >= f.cfg.BreakerThreshold {
+			delay := runctl.Backoff(failures-1, retryBase, retryCap)
+			if failures >= breakerThreshold {
 				// Per-connection breaker: the source has failed several
 				// pulls in a row; stop hammering it for a cooldown.
-				delay = f.cfg.BreakerCooldown
+				delay = breakerCooldown
 				f.cfg.Obs.Counter("replica.breaker_open").Add(1)
 			}
 			select {
@@ -335,7 +307,7 @@ func (f *Follower) pullOnce(ctx context.Context) (bool, error) {
 	req := PullRequest{
 		Dataset: f.cfg.Dataset,
 		FromSeq: info.Seq + 1,
-		Max:     f.cfg.MaxBatch,
+		Max:     maxBatch,
 		Epoch:   info.Epoch,
 		WaitMS:  f.cfg.WaitMS,
 	}
@@ -426,7 +398,6 @@ func (f *Follower) pullOnce(ctx context.Context) (bool, error) {
 // compacted away at the source. Only an empty local log accepts this;
 // anything else is divergence, surfaced by InstallSnapshot's refusal.
 func (f *Follower) bootstrap(ctx context.Context) error {
-	f.cfg.logf("replica: %s bootstrap: source %s compacted our position; installing snapshot", f.cfg.Dataset, f.cfg.Source)
 	body, status, err := f.get(ctx, "/v1/replication/snapshot?dataset="+f.cfg.Dataset)
 	if err != nil {
 		return err

@@ -20,10 +20,10 @@ func FuzzMotifParse(f *testing.F) {
 	f.Add(" 0 -> 1 ; 1 -> 2 ")
 	f.Add("->")
 	f.Add("0->0")
-	f.Add("0->2")                            // skips node 1
-	f.Add("2147483647->0")                   // huge ID: must fail fast
-	f.Add("0->99999999999999999999")         // overflows the node type
-	f.Add("-1->0")                           // negative ID
+	f.Add("0->2")                    // skips node 1
+	f.Add("2147483647->0")           // huge ID: must fail fast
+	f.Add("0->99999999999999999999") // overflows the node type
+	f.Add("-1->0")                   // negative ID
 	f.Add("A->B,B->" + strings.Repeat("Z", 4096))
 	f.Add(strings.TrimSuffix(strings.Repeat("0->1,", MaxMotifEdges+1), ",")) // 9 edges
 	f.Fuzz(func(t *testing.T, in string) {

@@ -210,38 +210,19 @@ func OpenStream(dir string, opts StreamOptions) (*Stream, StreamRecovery, error)
 	}
 	if snap := replay.Snapshot; snap != nil {
 		rec.SnapshotSeq = snap.Seq
-		s.lastSeq = snap.Seq
-		// Older snapshots predate HasCutoff; for those, a non-zero cutoff
-		// is the only signal.
-		if snap.HasCutoff || snap.Cutoff != 0 {
-			s.cutoff, s.hasCut = snap.Cutoff, true
-		}
-		s.loadWindowLocked(snap.Edges)
-		for _, sp := range snap.Standing {
-			op := edgelog.StandingOp{Op: edgelog.StandingRegister, Name: sp.Name, Spec: sp.Spec, Delta: sp.Delta}
-			if err := s.applyStandingLocked(&op); err != nil {
-				l.Close()
-				return nil, rec, err
-			}
-		}
+		err = s.loadSnapshotLocked(snap)
 	}
-	for _, r := range replay.Records {
-		if err := s.consumeLocked(r); err != nil {
-			l.Close()
-			return nil, rec, err
-		}
+	for i := 0; err == nil && i < len(replay.Records); i++ {
+		err = s.consumeLocked(replay.Records[i])
 	}
-	// The replayed graph is the committed baseline for standing counts.
-	g, err := s.graphLocked()
+	if err == nil {
+		// The replayed graph is the committed baseline for standing counts.
+		err = s.rebaseLocked()
+	}
 	if err != nil {
 		l.Close()
 		return nil, rec, err
 	}
-	s.countGraph = g
-	s.countCutoff = s.cutoff
-	s.hasCountCut = s.hasCut
-	s.pendingMin = math.MaxInt64
-	s.integratedSeq = s.lastSeq
 	if len(s.queries) > 0 {
 		// Reseed restored standing queries with a full mine so the board
 		// is exact (not just present) the moment the stream opens. On
@@ -310,19 +291,33 @@ func (s *Stream) observeTime(t Timestamp) {
 	}
 }
 
-// loadWindowLocked replaces the live window with a snapshot's edges.
-// Older snapshots stored the window in append order, newer ones in graph
-// order; a stable sort maps both to graph order.
-func (s *Stream) loadWindowLocked(edges []Edge) {
+// loadSnapshotLocked replaces the stream's state with a snapshot's:
+// position, cutoff, live window and standing board. Older snapshots
+// predate HasCutoff (for those a non-zero cutoff is the only signal) and
+// stored the window in append order, newer ones in graph order; a stable
+// sort maps both to graph order.
+func (s *Stream) loadSnapshotLocked(snap *edgelog.Snapshot) error {
+	s.lastSeq = snap.Seq
+	s.cutoff, s.hasCut = snap.Cutoff, snap.HasCutoff || snap.Cutoff != 0
 	s.maxTime, s.hasMax = 0, false
-	for _, e := range edges {
+	for _, e := range snap.Edges {
 		s.observeTime(e.Time)
 	}
-	s.edges = make([]Edge, len(edges), 2*len(edges))
-	copy(s.edges, edges)
+	s.edges = make([]Edge, len(snap.Edges), 2*len(snap.Edges))
+	copy(s.edges, snap.Edges)
 	slices.SortStableFunc(s.edges, byTime)
 	s.fp.reset(s.edges)
 	s.graph = nil
+	s.opts.Obs.Gauge("stream.edges").Set(int64(len(s.edges)))
+	s.queries = map[string]*standingQuery{}
+	for _, sp := range snap.Standing {
+		op := edgelog.StandingOp{Op: edgelog.StandingRegister, Name: sp.Name, Spec: sp.Spec, Delta: sp.Delta}
+		if err := s.applyStandingLocked(&op); err != nil {
+			return err
+		}
+	}
+	s.appendsSinceSnap = 0
+	return nil
 }
 
 func byTime(a, b Edge) int { return cmp.Compare(a.Time, b.Time) }
@@ -480,19 +475,22 @@ func (s *Stream) Append(ctx context.Context, clientID string, clientSeq uint64, 
 	if err := s.integrateLocked(ctx); err != nil {
 		res.Stale = true
 	}
+	s.snapshotCadenceLocked()
+	res.Edges, res.Fingerprint = len(s.edges), s.fingerprintLocked()
+	return res, nil
+}
 
+// snapshotCadenceLocked counts one applied record toward SnapshotEvery
+// and snapshots when the count is reached. The WAL still holds
+// everything, so a failed snapshot only delays compaction: it is counted
+// and retried on the next record.
+func (s *Stream) snapshotCadenceLocked() {
 	s.appendsSinceSnap++
 	if s.opts.SnapshotEvery > 0 && s.appendsSinceSnap >= s.opts.SnapshotEvery {
 		if err := s.snapshotLocked(); err != nil {
-			// The WAL still holds everything; a failed snapshot only
-			// delays compaction. Count it and retry next time.
 			s.opts.Obs.Counter("stream.snapshot_errors").Add(1)
-		} else {
-			s.appendsSinceSnap = 0
 		}
 	}
-	res.Edges, res.Fingerprint = len(s.edges), s.fingerprintLocked()
-	return res, nil
 }
 
 // snapshotLocked persists the live state and compacts the WAL.
@@ -504,7 +502,11 @@ func (s *Stream) snapshotLocked() error {
 		HasCutoff: s.hasCut,
 		Standing:  s.standingSpecsLocked(),
 	}
-	return s.log.WriteSnapshot(snap)
+	if err := s.log.WriteSnapshot(snap); err != nil {
+		return err
+	}
+	s.appendsSinceSnap = 0
+	return nil
 }
 
 // standingSpecsLocked renders the standing board for a snapshot, sorted
@@ -519,11 +521,7 @@ func (s *Stream) standingSpecsLocked() []edgelog.StandingSpec {
 			Name: q.name, Spec: encodeStandingSpec(q.motif), Delta: int64(q.motif.Delta),
 		})
 	}
-	for i := 1; i < len(specs); i++ {
-		for j := i; j > 0 && specs[j].Name < specs[j-1].Name; j-- {
-			specs[j], specs[j-1] = specs[j-1], specs[j]
-		}
-	}
+	slices.SortFunc(specs, func(a, b edgelog.StandingSpec) int { return strings.Compare(a.Name, b.Name) })
 	return specs
 }
 
@@ -534,11 +532,7 @@ func (s *Stream) Snapshot() error {
 	if s.closed {
 		return errors.New("mint: snapshot on closed stream")
 	}
-	if err := s.snapshotLocked(); err != nil {
-		return err
-	}
-	s.appendsSinceSnap = 0
-	return nil
+	return s.snapshotLocked()
 }
 
 // integrateLocked advances every standing query from the committed
@@ -550,16 +544,7 @@ func (s *Stream) Snapshot() error {
 func (s *Stream) integrateLocked(ctx context.Context) error {
 	if len(s.queries) == 0 {
 		// Keep the baseline current so a later Register starts clean.
-		g, err := s.graphLocked()
-		if err != nil {
-			return err
-		}
-		s.countGraph = g
-		s.countCutoff = s.cutoff
-		s.hasCountCut = s.hasCut
-		s.pendingMin = math.MaxInt64
-		s.integratedSeq = s.lastSeq
-		return nil
+		return s.rebaseLocked()
 	}
 	var reseed []*standingQuery
 	for _, q := range s.queries {
@@ -696,13 +681,29 @@ func (s *Stream) integrateLocked(ctx context.Context) error {
 		f.q.stale = false
 		f.q.reason = ""
 	}
-	s.countGraph = newG
-	s.countCutoff = s.cutoff
-	s.hasCountCut = s.hasCut
-	s.pendingMin = math.MaxInt64
-	s.integratedSeq = s.lastSeq
+	s.commitBaselineLocked(newG)
 	s.opts.Obs.Counter("stream.integrations").Add(1)
 	return nil
+}
+
+// rebaseLocked commits the live graph as the standing counts' baseline.
+func (s *Stream) rebaseLocked() error {
+	g, err := s.graphLocked()
+	if err != nil {
+		return err
+	}
+	s.commitBaselineLocked(g)
+	return nil
+}
+
+// commitBaselineLocked records g — the live graph at lastSeq — as the
+// graph the standing counts are exact for, with the cutoff they were
+// folded at and nothing pending.
+func (s *Stream) commitBaselineLocked(g *Graph) {
+	s.countGraph = g
+	s.countCutoff, s.hasCountCut = s.cutoff, s.hasCut
+	s.pendingMin = math.MaxInt64
+	s.integratedSeq = s.lastSeq
 }
 
 // mineExact co-mines motifs over g (rooted in w when set) under the
@@ -778,7 +779,7 @@ func (s *Stream) Register(ctx context.Context, name string, motif *Motif) (Stand
 	s.lastSeq = rec.Seq
 	// integrateLocked above committed through the previous lastSeq and a
 	// standing record changes no edges, so the counts are exact here too.
-	s.integratedSeq = rec.Seq
+	s.commitBaselineLocked(s.countGraph)
 	q := &standingQuery{name: name, motif: motif, count: counts[0], seeded: true}
 	s.queries[name] = q
 	s.opts.Obs.Gauge("stream.standing_queries").Set(int64(len(s.queries)))
@@ -838,11 +839,7 @@ func (s *Stream) Standing() []StandingCount {
 	for _, q := range s.queries {
 		out = append(out, s.standingLocked(q))
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b StandingCount) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -877,14 +874,7 @@ func (s *Stream) ApplyReplicated(rec edgelog.Record) error {
 		return err
 	}
 	s.opts.Obs.Counter("stream.replicated_records").Add(1)
-	s.appendsSinceSnap++
-	if s.opts.SnapshotEvery > 0 && s.appendsSinceSnap >= s.opts.SnapshotEvery {
-		if err := s.snapshotLocked(); err != nil {
-			s.opts.Obs.Counter("stream.snapshot_errors").Add(1)
-		} else {
-			s.appendsSinceSnap = 0
-		}
-	}
+	s.snapshotCadenceLocked()
 	return nil
 }
 
@@ -901,31 +891,10 @@ func (s *Stream) InstallSnapshot(snap *edgelog.Snapshot) error {
 	if err := s.log.InstallSnapshot(snap); err != nil {
 		return err
 	}
-	s.loadWindowLocked(snap.Edges)
-	s.cutoff, s.hasCut = 0, false
-	if snap.HasCutoff || snap.Cutoff != 0 {
-		s.cutoff, s.hasCut = snap.Cutoff, true
-	}
-	s.lastSeq = snap.Seq
-	s.queries = map[string]*standingQuery{}
-	for _, sp := range snap.Standing {
-		op := edgelog.StandingOp{Op: edgelog.StandingRegister, Name: sp.Name, Spec: sp.Spec, Delta: sp.Delta}
-		if err := s.applyStandingLocked(&op); err != nil {
-			return err
-		}
-	}
-	g, err := s.graphLocked()
-	if err != nil {
+	if err := s.loadSnapshotLocked(snap); err != nil {
 		return err
 	}
-	s.countGraph = g
-	s.countCutoff = s.cutoff
-	s.hasCountCut = s.hasCut
-	s.pendingMin = math.MaxInt64
-	s.integratedSeq = s.lastSeq
-	s.appendsSinceSnap = 0
-	s.opts.Obs.Gauge("stream.edges").Set(int64(len(s.edges)))
-	return nil
+	return s.rebaseLocked()
 }
 
 // ReadRecords exposes the log's shipping reader (see
