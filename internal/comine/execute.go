@@ -2,7 +2,6 @@ package comine
 
 import (
 	"context"
-	"time"
 
 	"mint/internal/mackey"
 	"mint/internal/obs"
@@ -28,8 +27,8 @@ type Options struct {
 	// hit-ratio gauge) plus each group's mackey.* worker folds.
 	Obs *obs.Registry
 	// Trace, when non-nil, is the request's open mine span: each group
-	// records one coarse comine.group span under it, and the group's
-	// mackey runs record theirs.
+	// opens one comine.group span under it, and the group's mackey runs
+	// record theirs under the group's.
 	Trace *obs.SpanRef
 	// Roots restricts every group to root edges in [Roots.Lo, Roots.Hi)
 	// — the same engine-level hook the δ-aware shard partition uses, so
@@ -102,17 +101,15 @@ func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b
 	for i, m := range plan.Motifs {
 		res.PerMotif[i].Motif = m
 	}
-	mopts := mackey.Options{Workers: opts.Workers, Ctl: ctl, Obs: opts.Obs, Trace: opts.Trace, Roots: opts.Roots, Supervision: opts.Supervision}
+	mopts := mackey.Options{Workers: opts.Workers, Ctl: ctl, Obs: opts.Obs, Roots: opts.Roots, Supervision: opts.Supervision}
 	var firstErr error
 	for gi, grp := range plan.Groups {
 		if ctl.Stopped() {
 			markTruncated(res.PerMotif, grp, ctl.Reason())
 			continue
 		}
-		var start time.Time
-		if opts.Trace != nil {
-			start = time.Now()
-		}
+		gsp := opts.Trace.Begin("comine.group", int32(gi))
+		mopts.Trace = gsp
 		trie, stars := &grp.Trie, grp.kernels(g, mopts, b)
 		if stars != nil {
 			trie = grp.Rest
@@ -151,7 +148,7 @@ func MineCtx(ctx context.Context, g *temporal.Graph, plan *Plan, opts Options, b
 				firstErr = err
 			}
 		}
-		opts.Trace.Record("comine.group", int32(gi), start, time.Since(start))
+		gsp.End()
 	}
 	if ctl.Stopped() {
 		res.Truncated = true

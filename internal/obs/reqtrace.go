@@ -139,6 +139,18 @@ func (s *SpanRef) Record(name string, worker int32, start time.Time, dur time.Du
 	})
 }
 
+// Begin opens a child span of s that runs on worker (the Chrome tid),
+// so engines can nest their own spans under a stage of the run;
+// nil-safe.
+func (s *SpanRef) Begin(name string, worker int32) *SpanRef {
+	if s == nil {
+		return nil
+	}
+	c := s.rt.Begin(name, s.span.SpanID)
+	c.span.Worker = worker
+	return c
+}
+
 // End closes the span and records it on the request trace; nil-safe.
 func (s *SpanRef) End() {
 	if s == nil {

@@ -2,14 +2,15 @@ package server
 
 // The HTTP front end both mintd roles share. A worker (Server) and a
 // scatter-gather coordinator (package gather) differ only in the step
-// between admission and the response: the worker checks a graph out of
-// its registry and runs an engine; the coordinator plans, fans out over
-// its shards and merges. Root windows are independent, so a worker is
-// simply the one-window case of the same contract. Everything around
-// that step lives here, once: routing and per-route instrumentation,
-// the drain lifecycle, the bounded body decode, admission and its
-// Retry-After hints, budget derivation, the response epilogue with its
-// loud markers, health and readiness, and the end-of-life run report.
+// between admission and the response, their Executor (routes.go): the
+// worker checks a graph out of its registry and runs an engine; the
+// coordinator plans, fans out over its shards and merges. Root windows
+// are independent, so a worker is simply the one-window case of the
+// same contract. Everything around that step lives here, once: routing
+// and per-route instrumentation, the drain lifecycle, the bounded body
+// decode, admission and its Retry-After hints, budget derivation, the
+// response epilogue with its loud markers, health and readiness, and
+// the end-of-life run report.
 
 import (
 	"context"
@@ -291,13 +292,12 @@ func (f *Front) RetryAfter() time.Duration { return f.adm.CombineRetryAfter(f.cf
 // Admitted is one admitted request, between admission and the reply.
 type Admitted struct {
 	// Ctx is canceled when the client leaves or drain runs out of
-	// patience; after Prelude it is the mine context, bounded by Full's
-	// deadline.
+	// patience; it is the mine context, bounded by Full's deadline.
 	Ctx context.Context
 	// Trace is the request's span tree (nil-safe).
 	Trace *obs.ReqTrace
 	// Start is when admission let the request in; Full is the budget
-	// Prelude derived then from the request's timeout and limits under
+	// prelude derived then from the request's timeout and limits under
 	// the configured caps.
 	Start time.Time
 	Full  runctl.Budget
@@ -352,9 +352,9 @@ func (f *Front) admit(w http.ResponseWriter, r *http.Request, endpoint, priority
 	return nil, false
 }
 
-// Prelude admits a decoded mining request (see admit), then derives its
+// prelude admits a decoded mining request (see admit), then derives its
 // budget and bounds its mine context by the budget's deadline.
-func (f *Front) Prelude(w http.ResponseWriter, r *http.Request, endpoint, priority string, timeoutMS int64, want runctl.Budget) (*Admitted, bool) {
+func (f *Front) prelude(w http.ResponseWriter, r *http.Request, endpoint, priority string, timeoutMS int64, want runctl.Budget) (*Admitted, bool) {
 	q, ok := f.admit(w, r, endpoint, priority)
 	if !ok {
 		return nil, false
@@ -372,13 +372,13 @@ func (f *Front) Prelude(w http.ResponseWriter, r *http.Request, endpoint, priori
 	return q, true
 }
 
-// Reply is the response epilogue of every mining route. It annotates
+// reply is the response epilogue of every mining route. It annotates
 // the trace with the answer's loud markers (engine, degraded,
 // truncated, partial) for the access log, stamps trace_id and wall_ms,
 // attaches the explain tree and the raw span fragment when the request
 // asked for them, and writes the 200. out is a *CountResponse,
 // *EnumerateResponse or *ProfileResponse.
-func (f *Front) Reply(w http.ResponseWriter, q *Admitted, out any, explain, returnTrace bool) {
+func (f *Front) reply(w http.ResponseWriter, q *Admitted, out any, explain, returnTrace bool) {
 	rt := q.Trace
 	var (
 		traceID *string
@@ -411,7 +411,7 @@ func (f *Front) Reply(w http.ResponseWriter, q *Admitted, out any, explain, retu
 		}
 		traceID, tree, wallMS, partial = &o.TraceID, &o.Explain, &o.WallMS, o.Partial
 	default:
-		panic(fmt.Sprintf("server: Reply with %T", out))
+		panic(fmt.Sprintf("server: reply with %T", out))
 	}
 	if stop != "" {
 		rt.Annotate("truncated", stop)

@@ -1,11 +1,15 @@
 package gather
 
 import (
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"mint"
+	"mint/internal/obs"
 	"mint/internal/server"
+	"mint/internal/shard"
 )
 
 // Batch /v1/count and the co-mined /v1/profile in coordinator mode.
@@ -200,5 +204,53 @@ func TestChaosProfileShardLossPartial(t *testing.T) {
 		if e.Count > oracle[i].Count {
 			t.Errorf("row %s: lower bound %d exceeds oracle %d", e.Motif, e.Count, oracle[i].Count)
 		}
+	}
+}
+
+// TestMisalignedBatchShardIsMissing: a shard that answers a 2-motif
+// batch with one per-motif entry cannot be merged entrywise. Its window
+// goes missing — a loud partial naming it — and it counts as a failed
+// shard, labeled counter included.
+func TestMisalignedBatchShardIsMissing(t *testing.T) {
+	g := testGraph()
+	_, healthy := newWorker(t, map[string]*mint.Graph{"g": g}, nil)
+	info := server.DatasetInfoResponse{
+		Dataset: "g", Nodes: g.NumNodes(), Edges: g.NumEdges(),
+		MinTS: int64(g.Edges[0].Time), MaxTS: int64(g.Edges[g.NumEdges()-1].Time),
+		Fingerprint: shard.Fingerprint(g),
+	}
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case "/v1/datasetinfo":
+			json.NewEncoder(w).Encode(info) //nolint:errcheck
+		case "/v1/count":
+			json.NewEncoder(w).Encode(server.CountResponse{ //nolint:errcheck
+				Count: 1, Exact: true, Engine: mint.EngineExact, ExactPartial: 1,
+				PerMotif: []server.MotifCountEntry{{Motif: "M1", Count: 1}},
+			})
+		default:
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	t.Cleanup(stub.Close)
+	reg := obs.New("coordinator")
+	_, cts := newCoordinator(t, []string{healthy.URL, stub.URL}, func(cfg *Config) { cfg.Obs = reg })
+
+	var resp server.CountResponse
+	status, _ := postJSON(t, cts.URL+"/v1/count", server.CountRequest{
+		Dataset: "g", Motifs: []string{"M1", "M2"}, DeltaSeconds: testDelta,
+	}, &resp)
+	if status != http.StatusOK {
+		t.Fatalf("status %d, want 200 lower bound", status)
+	}
+	if resp.Exact || !resp.Truncated || resp.StopReason != StopShardUnavailable {
+		t.Fatalf("misaligned shard not loudly truncated: %+v", resp)
+	}
+	if resp.Partial == nil || len(resp.Partial.MissingShards) != 1 || resp.Partial.MissingShards[0] != stub.URL {
+		t.Fatalf("partial %+v, want the stub %s missing", resp.Partial, stub.URL)
+	}
+	if n := reg.Counter(obs.Labeled("gather.shard_failed_by", "shard", stub.URL)).Value(); n != 1 {
+		t.Fatalf("gather.shard_failed_by{shard=stub} = %d, want 1", n)
 	}
 }

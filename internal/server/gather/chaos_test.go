@@ -62,8 +62,6 @@ func TestChaosSoak3ShardLoudPartials(t *testing.T) {
 
 	coord, cts := newCoordinator(t, urls, func(cfg *Config) {
 		cfg.MaxAttempts = 2
-		cfg.RetryBase = 10 * time.Millisecond
-		cfg.RetryCap = 50 * time.Millisecond
 		cfg.HedgeAfter = 250 * time.Millisecond
 		cfg.Breaker = server.BreakerConfig{Threshold: 2, Cooldown: 200 * time.Millisecond}
 		cfg.Admission = server.AdmissionConfig{MaxInflight: 4, MaxQueue: 6, MaxWait: 500 * time.Millisecond}

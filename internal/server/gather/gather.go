@@ -61,6 +61,14 @@ const StopShardUnavailable = "shard_unavailable"
 // the maximum limit fits comfortably).
 const maxResponseBytes = 64 << 20
 
+// retryBase and retryCap shape the capped-exponential backoff between
+// shard call attempts; probeTimeout bounds one readyz shard probe.
+const (
+	retryBase    = 50 * time.Millisecond
+	retryCap     = time.Second
+	probeTimeout = 500 * time.Millisecond
+)
+
 // Config assembles a Coordinator. Zero fields take defaults noted
 // per-field.
 type Config struct {
@@ -80,10 +88,6 @@ type Config struct {
 	Client *http.Client
 	// MaxAttempts bounds tries per shard call (default 3).
 	MaxAttempts int
-	// RetryBase / RetryCap shape the capped-exponential retry backoff
-	// (defaults 50ms / 1s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// HedgeAfter, when positive, launches a duplicate shard request
 	// after this long without a response; the first answer wins. Keep it
 	// near the shard's p99 — hedging the median doubles load for nothing.
@@ -113,8 +117,6 @@ type Config struct {
 	MergeMargin time.Duration
 	// EnumerateMaxLimit caps one merged enumerate page (default 1000).
 	EnumerateMaxLimit int
-	// ProbeTimeout bounds one readyz shard health probe (default 500ms).
-	ProbeTimeout time.Duration
 	// MaxBodyBytes caps every JSON request body, as on a worker
 	// (0 = server.DefaultMaxBodyBytes); oversized bodies answer 413.
 	MaxBodyBytes int64
@@ -135,12 +137,6 @@ func (c Config) normalized() Config {
 	if c.MaxAttempts < 1 {
 		c.MaxAttempts = 3
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = time.Second
-	}
 	if c.Quorum < 1 {
 		c.Quorum = len(c.Shards)/2 + 1
 	}
@@ -149,9 +145,6 @@ func (c Config) normalized() Config {
 	}
 	if c.EnumerateMaxLimit <= 0 {
 		c.EnumerateMaxLimit = 1000
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
 	}
 	return c
 }
@@ -222,10 +215,7 @@ func New(cfg Config) (*Coordinator, error) {
 		// behind the fan-out.
 		ShardRetry: c.shardWorstRetry,
 	})
-	c.front.Handle("POST /v1/count", "count", c.handleCount)
-	c.front.Handle("POST /v1/enumerate", "enumerate", c.handleEnumerate)
-	c.front.Handle("POST /v1/profile", "profile", c.handleProfile)
-	c.front.Handle("POST /v1/datasetinfo", "datasetinfo", c.handleDatasetInfo)
+	c.front.HandleQueries(c, c.cfg.EnumerateMaxLimit)
 	c.front.HandleReadyz(c.handleReadyz)
 	return c, nil
 }
@@ -244,24 +234,13 @@ func (c *Coordinator) BuildReport() *obs.RunReport { return c.front.BuildReport(
 
 // Shard RPC --------------------------------------------------------------
 
-// shardError is a non-2xx shard response.
-type shardError struct {
-	status     int
-	msg        string
-	retryAfter int
-}
-
-func (e *shardError) Error() string {
-	return fmt.Sprintf("shard returned %d: %s", e.status, e.msg)
-}
-
 // retryable says whether a failed attempt is worth repeating: transport
 // errors and overload/5xx are; other 4xx mean the request itself is
 // wrong and will be wrong again.
 func retryable(err error) bool {
-	var se *shardError
+	var se *server.StatusError
 	if errors.As(err, &se) {
-		return se.status == http.StatusTooManyRequests || se.status >= 500
+		return se.Status == http.StatusTooManyRequests || se.Status >= 500
 	}
 	return true
 }
@@ -294,10 +273,11 @@ func (c *Coordinator) countShard(name, shardURL string) {
 
 // badRequest returns err's shard 400, or nil. A 400 is the request's
 // fault, not the shard's: every member of every set would answer the
-// same, so it bounces to the client instead of failing the shard over.
-func badRequest(err error) *shardError {
-	var se *shardError
-	if errors.As(err, &se) && se.status == http.StatusBadRequest {
+// same, so it bounces to the client unchanged instead of failing the
+// shard over.
+func badRequest(err error) *server.StatusError {
+	var se *server.StatusError
+	if errors.As(err, &se) && se.Status == http.StatusBadRequest {
 		return se
 	}
 	return nil
@@ -349,7 +329,7 @@ func (c *Coordinator) call(ctx context.Context, shardURL, path string, in, out a
 			c.countShard("gather.retry", shardURL)
 			sp.Set("retries", strconv.Itoa(attempt))
 			select {
-			case <-time.After(runctl.Backoff(attempt-1, c.cfg.RetryBase, c.cfg.RetryCap)):
+			case <-time.After(runctl.Backoff(attempt-1, retryBase, retryCap)):
 			case <-ctx.Done():
 				c.brk.Record(shardURL, false)
 				return ctx.Err()
@@ -361,9 +341,9 @@ func (c *Coordinator) call(ctx context.Context, shardURL, path string, in, out a
 			return nil
 		}
 		lastErr = err
-		var se *shardError
-		if errors.As(err, &se) && se.retryAfter > 0 {
-			c.noteShardRetryAfter(time.Duration(se.retryAfter) * time.Second)
+		var se *server.StatusError
+		if errors.As(err, &se) && se.RetryAfter > 0 {
+			c.noteShardRetryAfter(time.Duration(se.RetryAfter) * time.Second)
 		}
 		if !retryable(err) {
 			// The shard answered (it is healthy); the request is bad.
@@ -418,7 +398,7 @@ func (c *Coordinator) attempt(ctx context.Context, shardURL, path, tp string, bo
 			if msg == "" {
 				msg = resp.Status
 			}
-			ch <- reply{err: &shardError{status: resp.StatusCode, msg: msg, retryAfter: er.RetryAfterSeconds}}
+			ch <- reply{err: &server.StatusError{Status: resp.StatusCode, Msg: msg, RetryAfter: er.RetryAfterSeconds}}
 			return
 		}
 		ch <- reply{data: data}
@@ -511,11 +491,14 @@ func (c *Coordinator) setInfo(ctx context.Context, set []string, dataset string)
 // urls[i]; infos[i] is the identity the set was planned against (its
 // fingerprint is the failover admission bar), nil when no member of the
 // set could even be identified (its window is missing from the start).
+// edges is the dataset's size: one shard's edge count in full-data mode
+// (every shard serves the same bytes), the slices' sum when sliced.
 type queryPlan struct {
 	ranges  []shard.Range
 	urls    []string
 	members [][]string
 	infos   []*server.DatasetInfoResponse
+	edges   int
 }
 
 // missingUpfront lists the replica sets already known unusable.
@@ -528,14 +511,6 @@ func (qp *queryPlan) missingUpfront() []string {
 	}
 	return out
 }
-
-// planError classifies planning failures for the HTTP layer.
-type planError struct {
-	status int
-	msg    string
-}
-
-func (e *planError) Error() string { return e.msg }
 
 // planFor identifies every shard and computes the fan-out for one
 // (dataset, δ) query.
@@ -557,7 +532,7 @@ func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Ti
 	// bounce it to the client unchanged.
 	for _, err := range errs {
 		if se := badRequest(err); se != nil {
-			return nil, &planError{status: http.StatusBadRequest, msg: se.msg}
+			return nil, se
 		}
 	}
 
@@ -581,7 +556,7 @@ func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Ti
 			continue
 		}
 		if info.Fingerprint != fp {
-			return nil, &planError{status: http.StatusBadGateway, msg: fmt.Sprintf(
+			return nil, &server.StatusError{Status: http.StatusBadGateway, Msg: fmt.Sprintf(
 				"shard data mismatch for dataset %q: %s serves %s but %s serves %s — refusing to merge",
 				dataset, acting[firstOK], fp, acting[i], info.Fingerprint)}
 		}
@@ -594,10 +569,10 @@ func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Ti
 				break
 			}
 		}
-		return nil, &planError{status: http.StatusServiceUnavailable, msg: msg}
+		return nil, &server.StatusError{Status: http.StatusServiceUnavailable, Msg: msg}
 	}
 	p := shard.New(span.Start, span.End, n, delta)
-	qp := &queryPlan{ranges: p.Ranges, members: c.sets, infos: infos}
+	qp := &queryPlan{ranges: p.Ranges, members: c.sets, infos: infos, edges: infos[firstOK].Edges}
 	for i := range p.Ranges {
 		u := acting[i]
 		if u == "" {
@@ -637,7 +612,7 @@ func (c *Coordinator) plan(q *server.Admitted, dataset string, deltaSeconds int6
 func (c *Coordinator) planSliced(infos []*server.DatasetInfoResponse, acting []string, errs []error) (*queryPlan, error) {
 	for i, info := range infos {
 		if info == nil {
-			return nil, &planError{status: http.StatusServiceUnavailable, msg: fmt.Sprintf(
+			return nil, &server.StatusError{Status: http.StatusServiceUnavailable, Msg: fmt.Sprintf(
 				"sliced coordinator cannot plan: shard %s never identified (%v)", setLabel(c.sets[i]), errs[i])}
 		}
 	}
@@ -662,6 +637,7 @@ func (c *Coordinator) planSliced(infos []*server.DatasetInfoResponse, acting []s
 		qp.urls = append(qp.urls, acting[idx])
 		qp.members = append(qp.members, c.sets[idx])
 		qp.infos = append(qp.infos, infos[idx])
+		qp.edges += infos[idx].Edges
 	}
 	return qp, nil
 }
@@ -699,36 +675,38 @@ func (c *Coordinator) callSet(ctx context.Context, qp *queryPlan, i int, dataset
 	return err
 }
 
-func (c *Coordinator) writePlanError(w http.ResponseWriter, err error) {
-	status, ra := http.StatusServiceUnavailable, server.RetryAfterSeconds(c.front.RetryAfter())
-	var pe *planError
-	if errors.As(err, &pe) && pe.status != http.StatusServiceUnavailable {
-		status, ra = pe.status, 0
+// The coordinator's executor ----------------------------------------------
+
+// errRootWindow refuses a client-set root window: owned windows are the
+// coordinator's to assign.
+var errRootWindow = &server.StatusError{Status: http.StatusBadRequest,
+	Msg: "root_window is assigned by the coordinator; query a worker directly to restrict roots"}
+
+// Count is the coordinator's count step (server.Executor): one
+// (single-motif or batch) fan-out — plan the shards, split the budget,
+// assign each shard its owned root window, and merge the answers.
+// Root-window independence makes the merge a plain per-entry sum;
+// Degraded/Truncated markers OR together so a blended answer is never
+// presented as exact. Batch requests merge PerMotif entrywise — shards
+// answer the same motif list in the same deterministic order (Motifs
+// then MotifSpecs), so entry i everywhere is the same motif; a shard
+// answering a different entry count is treated as failed rather than
+// mis-summed. edges is the plan's dataset size.
+func (c *Coordinator) Count(q *server.Admitted, req *server.CountRequest, mq mint.Query) (*server.CountResponse, int, error) {
+	switch {
+	case req.Supervised:
+		return nil, 0, &server.StatusError{Status: http.StatusBadRequest, Msg: "supervised is not supported in coordinator mode"}
+	case req.RootWindow != nil:
+		return nil, 0, errRootWindow
 	}
-	server.WriteError(w, status, err.Error(), ra)
-}
-
-// Count ------------------------------------------------------------------
-
-// fanoutCount runs one (single-motif or batch) count fan-out: plan the
-// shards, split the budget, assign each shard its owned root window,
-// and merge the answers. Root-window independence makes the merge a
-// plain per-entry sum; Degraded/Truncated markers OR together so a
-// blended answer is never presented as exact. Batch requests merge
-// PerMotif entrywise — shards answer the same motif list in the same
-// deterministic order (Motifs then MotifSpecs), so entry i everywhere
-// is the same motif; a shard answering a different entry count is
-// treated as failed rather than mis-summed. Failures return a
-// *planError for writePlanError.
-func (c *Coordinator) fanoutCount(q *server.Admitted, req *server.CountRequest) (server.CountResponse, error) {
 	ctx, rt := q.Ctx, q.Trace
 	qp, err := c.plan(q, req.Dataset, req.DeltaSeconds)
 	if err != nil {
-		return server.CountResponse{}, err
+		return nil, 0, err
 	}
 	n := len(qp.ranges)
 	per := runctl.SplitBudget(q.Full, n, c.cfg.MergeMargin)
-	numMotifs := len(req.Motifs) + len(req.MotifSpecs)
+	numMotifs := len(mq.Motifs)
 
 	results := make([]*server.CountResponse, n)
 	errs := make([]error, n)
@@ -749,17 +727,16 @@ func (c *Coordinator) fanoutCount(q *server.Admitted, req *server.CountRequest) 
 			sreq.RootWindow = &server.TimeWindow{StartTS: int64(qp.ranges[i].Start), EndTS: int64(qp.ranges[i].End)}
 			sreq.Explain, sreq.ReturnTrace = false, rt.TraceID() != ""
 			var out server.CountResponse
-			if err := c.callSet(ctx, qp, i, req.Dataset, "/v1/count", sreq, &out); err != nil {
-				c.countShard("gather.shard_failed", qp.urls[i])
-				errs[i] = err
-				return
-			}
-			if numMotifs > 0 && len(out.PerMotif) != numMotifs {
+			err := c.callSet(ctx, qp, i, req.Dataset, "/v1/count", sreq, &out)
+			if err == nil && numMotifs > 0 && len(out.PerMotif) != numMotifs {
 				// A shard whose entry list does not line up cannot be merged
 				// entrywise; a mis-aligned sum would be silently wrong.
-				c.obs.Counter("gather.shard_failed").Add(1)
-				errs[i] = fmt.Errorf("shard %s answered %d per-motif entries, want %d",
+				err = fmt.Errorf("shard %s answered %d per-motif entries, want %d",
 					qp.urls[i], len(out.PerMotif), numMotifs)
+			}
+			if err != nil {
+				c.countShard("gather.shard_failed", qp.urls[i])
+				errs[i] = err
 				return
 			}
 			rt.Import(out.TraceFrag, qp.urls[i])
@@ -769,16 +746,15 @@ func (c *Coordinator) fanoutCount(q *server.Admitted, req *server.CountRequest) 
 	}
 	wg.Wait()
 
-	// A shard that answered 400 is reporting a malformed fan-out request
-	// (bad motif spec, usually): that is the client's error, not a
-	// missing shard.
+	// A shard that answered 400 is reporting a malformed fan-out request:
+	// that is the client's error, not a missing shard.
 	for _, err := range errs {
 		if se := badRequest(err); se != nil {
-			return server.CountResponse{}, &planError{status: http.StatusBadRequest, msg: se.msg}
+			return nil, 0, se
 		}
 	}
 
-	out := server.CountResponse{Engine: mint.EngineExact, Exact: true}
+	out := &server.CountResponse{Engine: mint.EngineExact, Exact: true}
 	if numMotifs > 0 {
 		out.PerMotif = make([]server.MotifCountEntry, numMotifs)
 	}
@@ -812,7 +788,7 @@ func (c *Coordinator) fanoutCount(q *server.Admitted, req *server.CountRequest) 
 		}
 	}
 	if len(missing) == n {
-		return server.CountResponse{}, &planError{status: http.StatusServiceUnavailable, msg: "all shards unavailable"}
+		return nil, 0, &server.StatusError{Status: http.StatusServiceUnavailable, Msg: "all shards unavailable"}
 	}
 	if len(missing) > 0 {
 		c.obs.Counter("gather.partial_merge").Add(1)
@@ -839,34 +815,7 @@ func (c *Coordinator) fanoutCount(q *server.Admitted, req *server.CountRequest) 
 		out.Exact = false
 		out.Engine = mint.EnginePartial
 	}
-	return out, nil
-}
-
-func (c *Coordinator) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req server.CountRequest
-	if !c.front.Decode(w, r, &req) {
-		return
-	}
-	if req.Supervised {
-		server.WriteError(w, http.StatusBadRequest, "supervised is not supported in coordinator mode", 0)
-		return
-	}
-	if req.RootWindow != nil {
-		server.WriteError(w, http.StatusBadRequest, "root_window is assigned by the coordinator; query a worker directly to restrict roots", 0)
-		return
-	}
-	q, ok := c.front.Prelude(w, r, "count", req.Priority, req.TimeoutMS,
-		runctl.Budget{MaxMatches: req.MaxMatches, MaxNodes: req.MaxNodes})
-	if !ok {
-		return
-	}
-	defer q.Done()
-	out, err := c.fanoutCount(q, &req)
-	if err != nil {
-		c.writePlanError(w, err)
-		return
-	}
-	c.front.Reply(w, q, &out, req.Explain, req.ReturnTrace)
+	return out, qp.edges, nil
 }
 
 // shardTimeoutMS converts a split budget's deadline into the per-shard
@@ -882,68 +831,50 @@ func shardTimeoutMS(per runctl.Budget) int64 {
 	return ms
 }
 
-// Enumerate --------------------------------------------------------------
-
 // Merged page tokens are "shardIdx:innerToken" — the shard the walk
 // stopped in plus that shard's own resumption token.
 func parseMergedToken(tok string, n int) (int, string, error) {
 	if tok == "" {
 		return 0, "", nil
 	}
+	malformed := &server.StatusError{Status: http.StatusBadRequest, Msg: "malformed page_token"}
 	idxs, inner, found := strings.Cut(tok, ":")
 	if !found {
-		return 0, "", errors.New("malformed page_token")
+		return 0, "", malformed
 	}
 	idx, err := strconv.Atoi(idxs)
 	if err != nil || idx < 0 || idx >= n {
-		return 0, "", errors.New("malformed page_token")
+		return 0, "", malformed
 	}
 	return idx, inner, nil
 }
 
-func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	var req server.EnumerateRequest
-	if !c.front.Decode(w, r, &req) {
-		return
+// Enumerate is the coordinator's enumerate step (server.Executor): walk
+// the shards in range order. Within one shard the worker streams the
+// deterministic chronological order, and ranges are ordered by root
+// timestamp, so concatenation reproduces the global order. The walk
+// cannot skip a shard without breaking the global order: a shard that
+// is missing ends the page there, loudly.
+func (c *Coordinator) Enumerate(q *server.Admitted, req *server.EnumerateRequest, _ *mint.Motif) (*server.EnumerateResponse, error) {
+	switch {
+	case c.cfg.Sliced:
+		return nil, &server.StatusError{Status: http.StatusNotImplemented,
+			Msg: "enumerate is not supported on a sliced deployment: slice-local edge IDs are not globally meaningful"}
+	case req.RootWindow != nil:
+		return nil, errRootWindow
 	}
-	if c.cfg.Sliced {
-		server.WriteError(w, http.StatusNotImplemented,
-			"enumerate is not supported on a sliced deployment: slice-local edge IDs are not globally meaningful", 0)
-		return
-	}
-	if req.RootWindow != nil {
-		server.WriteError(w, http.StatusBadRequest, "root_window is assigned by the coordinator; query a worker directly to restrict roots", 0)
-		return
-	}
-	if req.Limit <= 0 {
-		server.WriteError(w, http.StatusBadRequest, "limit must be positive", 0)
-		return
-	}
-	req.Limit = min(req.Limit, c.cfg.EnumerateMaxLimit)
-	q, ok := c.front.Prelude(w, r, "enumerate", req.Priority, req.TimeoutMS, runctl.Budget{})
-	if !ok {
-		return
-	}
-	defer q.Done()
 	mineCtx, rt := q.Ctx, q.Trace
 	qp, err := c.plan(q, req.Dataset, req.DeltaSeconds)
 	if err != nil {
-		c.writePlanError(w, err)
-		return
+		return nil, err
 	}
 	n := len(qp.ranges)
 	shardIdx, inner, err := parseMergedToken(req.PageToken, n)
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error(), 0)
-		return
+		return nil, err
 	}
 	per := runctl.SplitBudget(q.Full, 1, c.cfg.MergeMargin) // sequential walk: full wall per shard
 
-	// Walk shards in range order: within one shard the worker streams
-	// the deterministic chronological order, and ranges are ordered by
-	// root timestamp, so concatenation reproduces the global order.
-	// The walk cannot skip a shard without breaking the global order: a
-	// shard that is missing ends the page there, loudly.
 	out := &server.EnumerateResponse{Matches: [][]int32{}}
 	stopMissing := func() {
 		out.Truncated = true
@@ -955,15 +886,14 @@ func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			stopMissing()
 			break
 		}
-		sreq := req
+		sreq := *req
 		sreq.TimeoutMS, sreq.Limit, sreq.PageToken = shardTimeoutMS(per), req.Limit-len(out.Matches), inner
 		sreq.RootWindow = &server.TimeWindow{StartTS: int64(qp.ranges[shardIdx].Start), EndTS: int64(qp.ranges[shardIdx].End)}
 		sreq.Explain, sreq.ReturnTrace = false, rt.TraceID() != ""
 		var sres server.EnumerateResponse
 		if err := c.callSet(mineCtx, qp, shardIdx, req.Dataset, "/v1/enumerate", sreq, &sres); err != nil {
 			if se := badRequest(err); se != nil {
-				server.WriteError(w, http.StatusBadRequest, se.msg, 0)
-				return
+				return nil, se
 			}
 			c.countShard("gather.shard_failed", qp.urls[shardIdx])
 			stopMissing()
@@ -992,97 +922,27 @@ func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	c.front.Reply(w, q, out, req.Explain, req.ReturnTrace)
+	return out, nil
 }
 
-// Profile / info / health -------------------------------------------------
-
-// handleProfile serves the M1–M4 fingerprint in coordinator mode as ONE
-// batch count fan-out: each shard co-mines the whole set over its owned
-// root window under its split budget, and the coordinator sums the
-// per-motif entries. Lost shards surface as Partial plus per-entry
-// truncation — a profile assembled without every shard is a loud lower
-// bound, never a silently short fingerprint.
-func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
-	var req server.ProfileRequest
-	if !c.front.Decode(w, r, &req) {
-		return
-	}
-	q, ok := c.front.Prelude(w, r, "profile", req.Priority, req.TimeoutMS, runctl.Budget{})
-	if !ok {
-		return
-	}
-	defer q.Done()
-	merged, err := c.fanoutCount(q, &server.CountRequest{
-		Dataset:      req.Dataset,
-		Motifs:       []string{"M1", "M2", "M3", "M4"},
-		DeltaSeconds: req.DeltaSeconds,
-		TimeoutMS:    req.TimeoutMS,
-		Priority:     req.Priority,
-	})
-	if err != nil {
-		c.writePlanError(w, err)
-		return
-	}
-	perK := 1000.0 / float64(max(1, c.datasetEdges(q.Ctx, req.Dataset)))
-	out := &server.ProfileResponse{Partial: merged.Partial}
-	for _, e := range merged.PerMotif {
-		out.Profile = append(out.Profile, server.ProfileEntry{
-			Motif:      e.Motif,
-			Spec:       e.Spec,
-			Count:      e.Count,
-			Density:    float64(e.Count) * perK,
-			Truncated:  e.Truncated,
-			StopReason: e.StopReason,
-		})
-	}
-	c.front.Reply(w, q, out, req.Explain, false)
-}
-
-// datasetEdges reports the dataset's total edge count for density
-// normalization: the identified shard's count in full-data mode (every
-// shard serves the same bytes), the sum of slice counts when sliced.
-// Infos are cached by the planner, so this never re-fans the probes.
-func (c *Coordinator) datasetEdges(ctx context.Context, dataset string) int {
-	total := 0
-	for _, set := range c.sets {
-		info, _, err := c.setInfo(ctx, set, dataset)
-		if err != nil {
-			continue
-		}
-		if !c.cfg.Sliced {
-			return info.Edges
-		}
-		total += info.Edges
-	}
-	return total
-}
-
-// handleDatasetInfo reports the (verified-identical) dataset identity in
-// full-data mode; sliced deployments have no single identity to report.
-func (c *Coordinator) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
-	var req server.DatasetInfoRequest
-	if !c.front.Decode(w, r, &req) {
-		return
-	}
+// DatasetInfo reports the (verified-identical) dataset identity in
+// full-data mode (server.Executor); sliced deployments have no single
+// identity to report.
+func (c *Coordinator) DatasetInfo(ctx context.Context, dataset string) (*server.DatasetInfoResponse, error) {
 	if c.cfg.Sliced {
-		server.WriteError(w, http.StatusNotImplemented, "datasetinfo is per-slice on a sliced deployment; query workers directly", 0)
-		return
+		return nil, &server.StatusError{Status: http.StatusNotImplemented,
+			Msg: "datasetinfo is per-slice on a sliced deployment; query workers directly"}
 	}
-	ctx, cleanup := c.front.RequestCtx(r)
-	defer cleanup()
-	qp, err := c.planFor(ctx, req.Dataset, mint.DeltaHour)
+	qp, err := c.planFor(ctx, dataset, mint.DeltaHour)
 	if err != nil {
-		c.writePlanError(w, err)
-		return
+		return nil, err
 	}
 	for _, info := range qp.infos {
 		if info != nil {
-			server.WriteJSON(w, http.StatusOK, info)
-			return
+			return info, nil
 		}
 	}
-	server.WriteError(w, http.StatusServiceUnavailable, "no shard available", 0)
+	return nil, &server.StatusError{Status: http.StatusServiceUnavailable, Msg: "no shard available"}
 }
 
 // handleReadyz live-probes every shard's /healthz and reports ready only
@@ -1091,7 +951,7 @@ func (c *Coordinator) handleDatasetInfo(w http.ResponseWriter, r *http.Request) 
 // a healthier peer. (The draining check runs first, in
 // server.Front.HandleReadyz.)
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
 	defer cancel()
 	// Probe every member of every set; a SET is healthy when any member
 	// answers — quorum counts sets, because a set with one live replica

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mint"
+	"mint/internal/obs"
 	"mint/internal/runctl"
 	"mint/internal/server"
 	"mint/internal/server/registry"
@@ -373,5 +374,33 @@ func TestCoordinatorMaxBodyBytes(t *testing.T) {
 	status, _ := postJSON(t, cts.URL+"/v1/count", server.CountRequest{Dataset: "g", Motif: "M1", DeltaSeconds: testDelta}, &resp)
 	if status != http.StatusOK || !resp.Exact {
 		t.Fatalf("small count: status %d, %+v", status, resp)
+	}
+}
+
+// TestCoordinatorRefusesWithoutFanOut: a request the route layer or the
+// coordinator's own limits refuse — a bad motif, spec or motif list, a
+// batch+motif conflict, supervised, a client root window — answers 400
+// from the coordinator itself, without planning or a single shard call.
+func TestCoordinatorRefusesWithoutFanOut(t *testing.T) {
+	reg := obs.New("worker")
+	_, ts := newWorker(t, map[string]*mint.Graph{"g": testGraph()}, func(cfg *server.Config) { cfg.Obs = reg })
+	_, cts := newCoordinator(t, []string{ts.URL}, nil)
+	for name, req := range map[string]server.CountRequest{
+		"unknown motif":    {Dataset: "g", Motif: "M9"},
+		"bad spec":         {Dataset: "g", MotifSpec: "A->"},
+		"bad batch member": {Dataset: "g", Motifs: []string{"M1", "M9"}},
+		"batch and motif":  {Dataset: "g", Motifs: []string{"M1", "M2"}, Motif: "M3"},
+		"supervised":       {Dataset: "g", Motif: "M1", Supervised: true},
+		"root window":      {Dataset: "g", Motif: "M1", RootWindow: &server.TimeWindow{StartTS: 0, EndTS: 100}},
+	} {
+		var er server.ErrorResponse
+		if status, _ := postJSON(t, cts.URL+"/v1/count", req, &er); status != http.StatusBadRequest || er.Error == "" {
+			t.Errorf("%s: status %d (%q), want 400 with a reason", name, status, er.Error)
+		}
+	}
+	for _, name := range []string{"http.count.requests", "http.datasetinfo.requests"} {
+		if n := reg.Counter(name).Value(); n != 0 {
+			t.Errorf("worker %s = %d, want 0: the coordinator fanned out a request it must refuse", name, n)
+		}
 	}
 }

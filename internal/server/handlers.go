@@ -1,8 +1,8 @@
 package server
 
-// The worker's API. Each mining endpoint runs the front end's ladder
-// (decode → admission → budget, then Reply; see front.go) around the
-// worker's role step: dataset registry → breaker routing → engine.
+// The API's wire types and the worker's Executor: dataset registry →
+// breaker routing → engine, behind the query routes both roles share
+// (routes.go).
 
 import (
 	"context"
@@ -240,10 +240,7 @@ type ErrorResponse struct {
 
 func (s *Server) routes() {
 	f := s.front
-	f.Handle("POST /v1/count", "count", s.handleCount)
-	f.Handle("POST /v1/enumerate", "enumerate", s.handleEnumerate)
-	f.Handle("POST /v1/profile", "profile", s.handleProfile)
-	f.Handle("POST /v1/datasetinfo", "datasetinfo", s.handleDatasetInfo)
+	f.HandleQueries(s, s.cfg.EnumerateMaxLimit)
 	f.Handle("POST /v1/edges", "edges", s.handleIngest)
 	f.Handle("POST /v1/standing", "standing", s.handleStandingRegister)
 	f.Handle("GET /v1/standing", "standing_list", s.handleStandingList)
@@ -255,37 +252,13 @@ func (s *Server) routes() {
 	f.HandleReadyz(s.handleReadyz)
 }
 
-// Delta is a request's motif window δ: delta_seconds, or one hour when
-// unset. The coordinator plans its shards with the same default the
-// workers mine with.
-func Delta(seconds int64) mint.Timestamp {
-	if seconds <= 0 {
-		return mint.DeltaHour
-	}
-	return mint.Timestamp(seconds)
-}
-
-// motifFor resolves a request's motif at δ: the compact spec (named
-// label) when set, otherwise the named motif (M1 when unnamed).
-func motifFor(label, name, spec string, delta mint.Timestamp) (*mint.Motif, error) {
-	if spec != "" {
-		return mint.ParseMotif(label, delta, spec)
-	}
-	if name == "" {
-		name = "M1"
-	}
-	return mint.MotifByName(name, delta)
-}
-
 // checkout pins a dataset in the registry under a registry.checkout
 // span (eviction cannot race the caller; defer the release); the live
-// dataset resolves to the stream's current graph instead. It writes
-// its own errors: 400 for a missing or unknown dataset, 503 for
-// environment failures.
-func (s *Server) checkout(w http.ResponseWriter, ctx context.Context, dataset string) (*mint.Graph, func(), bool) {
+// dataset resolves to the stream's current graph instead. Refusals are
+// 400 for a missing or unknown dataset, 503 for environment failures.
+func (s *Server) checkout(ctx context.Context, dataset string) (*mint.Graph, func(), error) {
 	if dataset == "" {
-		WriteError(w, http.StatusBadRequest, "dataset is required", 0)
-		return nil, nil, false
+		return nil, nil, &StatusError{Status: http.StatusBadRequest, Msg: "dataset is required"}
 	}
 	rt := obs.ReqTraceFrom(ctx)
 	sp := rt.Begin("registry.checkout", rt.RootID())
@@ -296,23 +269,13 @@ func (s *Server) checkout(w http.ResponseWriter, ctx context.Context, dataset st
 		g, release, err = s.data.Checkout(ctx, dataset)
 	}
 	sp.End()
-	if err != nil {
-		if errors.Is(err, ErrUnknownDataset) {
-			WriteError(w, http.StatusBadRequest, err.Error(), 0)
-		} else {
-			WriteError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
-		}
-		return nil, nil, false
+	switch {
+	case errors.Is(err, ErrUnknownDataset):
+		return nil, nil, badRequest(err)
+	case err != nil:
+		return nil, nil, &StatusError{Status: http.StatusServiceUnavailable, Msg: err.Error(), RetryAfter: RetryAfterSeconds(5 * time.Second)}
 	}
-	return g, release, true
-}
-
-// rootWindowFor maps the wire-level root window onto the engine's.
-func rootWindowFor(tw *TimeWindow) *mint.RootWindow {
-	if tw == nil {
-		return nil
-	}
-	return &mint.RootWindow{Start: mint.Timestamp(tw.StartTS), End: mint.Timestamp(tw.EndTS)}
+	return g, release, nil
 }
 
 // workloadKey is the breaker key: dataset × motif class. Named motifs
@@ -328,63 +291,31 @@ func workloadKey(dataset string, mq mint.Query) string {
 	return dataset + "/custom:" + mq.Motif.String()
 }
 
-// batchMotifs resolves a batch request's motif list: named motifs
-// first, then custom specs, all at the request δ — the deterministic
-// order the PerMotif entries (and the coordinator's entrywise merge)
-// are keyed on.
-func batchMotifs(req *CountRequest) ([]*mint.Motif, error) {
-	delta := Delta(req.DeltaSeconds)
-	motifs := make([]*mint.Motif, 0, len(req.Motifs)+len(req.MotifSpecs))
-	for _, name := range req.Motifs {
-		m, err := mint.MotifByName(name, delta)
-		if err != nil {
-			return nil, err
-		}
-		motifs = append(motifs, m)
-	}
-	for i, spec := range req.MotifSpecs {
-		m, err := mint.ParseMotif(fmt.Sprintf("custom%d", i), delta, spec)
-		if err != nil {
-			return nil, err
-		}
-		motifs = append(motifs, m)
-	}
-	return motifs, nil
-}
-
 // The one query path ------------------------------------------------------
 
-// job is one decoded mining request: the request's part of the Query
-// (serve adds the server's workers, chaos plan and metrics), the
-// dataset, the route's span, and the mapping of the run onto the
-// route's reply. shed
-// names a route whose query has no fallback ladder in the 503 (and the
-// server.<shed>_degraded_unavailable counter) it answers while the
-// workload's breaker is open.
+// job is one mining run: the request's part of the Query (serve adds
+// the server's workers, chaos plan and metrics), the dataset and the
+// run's span. shed names a route whose query has no fallback ladder in
+// the 503 (and the server.<shed>_degraded_unavailable counter) it
+// answers while the workload's breaker is open.
 type job struct {
-	span, shed, dataset  string
-	query                mint.Query
-	reply                func(*mint.Graph, mint.Result) any
-	explain, returnTrace bool
+	span, shed, dataset string
+	query               mint.Query
 }
 
-// serve runs a job: validate → checkout → workload counter → breaker
-// Acquire → span → mint.Run → Record → reply. A query with a fallback
-// ladder answers from the degraded path when the breaker is open or the
-// exact engine failed; any other query sheds with 503 while the breaker
-// cools down, and a failed run is served only when it is loudly
-// truncated (a worker panic mid-batch), never as a silently short
-// answer.
-func (s *Server) serve(w http.ResponseWriter, q *Admitted, j job) {
+// serve runs a job: checkout → workload counter → breaker Acquire →
+// span → mint.Run → Record, and returns the run with the edge count of
+// the graph it ran on. A query with a fallback ladder answers from the
+// degraded path when the breaker is open or the exact engine failed;
+// any other query sheds with 503 while the breaker cools down, and a
+// failed run is served only when it is loudly truncated (a worker panic
+// mid-batch), never as a silently short answer.
+func (s *Server) serve(q *Admitted, j job) (mint.Result, int, error) {
 	mq, rt := j.query, q.Trace
 	mq.Workers, mq.Chaos, mq.Obs = s.cfg.Workers, s.cfg.Chaos, s.obs
-	if err := mq.Validate(); err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	g, release, ok := s.checkout(w, q.Ctx, j.dataset)
-	if !ok {
-		return
+	g, release, err := s.checkout(q.Ctx, j.dataset)
+	if err != nil {
+		return mint.Result{}, 0, err
 	}
 	defer release()
 	motifs := mq.Motifs
@@ -401,7 +332,6 @@ func (s *Server) serve(w http.ResponseWriter, q *Admitted, j job) {
 	bsp.Set("decision", decision.String())
 	bsp.End()
 	var res mint.Result
-	var err error
 	if decision != Degrade {
 		msp := rt.Begin(j.span, rt.RootID())
 		mq.Trace = msp
@@ -420,19 +350,17 @@ func (s *Server) serve(w http.ResponseWriter, q *Admitted, j job) {
 			s.obs.Counter("server.exact_failed").Add(1)
 		}
 	}
-	unavailable := func(msg string) {
-		WriteError(w, http.StatusServiceUnavailable, msg, RetryAfterSeconds(s.front.RetryAfter()))
+	unavailable := func(msg string) (mint.Result, int, error) {
+		return mint.Result{}, 0, &StatusError{Status: http.StatusServiceUnavailable, Msg: msg}
 	}
 	switch {
 	case decision != Degrade && (err == nil || (res.Truncated && mq.Fallback == nil)):
 		// Exact, or loudly truncated: serve it.
 	case mq.Fallback == nil && decision == Degrade:
 		s.obs.Counter("server." + j.shed + "_degraded_unavailable").Add(1)
-		unavailable("workload breaker open and " + j.shed + " has no degraded mode")
-		return
+		return unavailable("workload breaker open and " + j.shed + " has no degraded mode")
 	case mq.Fallback == nil:
-		unavailable(err.Error())
-		return
+		return unavailable(err.Error())
 	default:
 		// The degraded path: the ladder with one checkpoint quantum of
 		// exact work on one worker and no chaos — enough to answer tiny
@@ -448,11 +376,10 @@ func (s *Server) serve(w http.ResponseWriter, q *Admitted, j job) {
 		sp.End()
 		if err != nil {
 			s.obs.Counter("server.degraded_failed").Add(1)
-			unavailable("degraded path failed: " + err.Error())
-			return
+			return unavailable("degraded path failed: " + err.Error())
 		}
 	}
-	s.front.Reply(w, q, j.reply(g, res), j.explain, j.returnTrace)
+	return res, g.NumEdges(), nil
 }
 
 // countResponse maps a count run — single, degraded, supervised or
@@ -479,104 +406,65 @@ func countResponse(res mint.Result) *CountResponse {
 	return out
 }
 
-// Handlers ---------------------------------------------------------------
+// The worker's executor ----------------------------------------------------
 
-// handleCount serves the three count shapes. A single motif runs the
-// fallback ladder. A batch (motifs / motif_specs) is ONE co-mined run:
-// there is no estimator for a motif set, so it is exact-or-loud. A
-// supervised count checkpoints so a drain (or crash) mid-request leaves
-// resumable evidence; the checkpoint outlives the request only when the
-// reply names it, on a truncated run.
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req CountRequest
-	if !s.front.Decode(w, r, &req) {
-		return
-	}
-	q, ok := s.front.Prelude(w, r, "count", req.Priority, req.TimeoutMS,
-		runctl.Budget{MaxMatches: req.MaxMatches, MaxNodes: req.MaxNodes})
-	if !ok {
-		return
-	}
-	defer q.Done()
-	j := job{span: "mine", dataset: req.Dataset, explain: req.Explain, returnTrace: req.ReturnTrace,
-		reply: func(_ *mint.Graph, res mint.Result) any { return countResponse(res) },
-		query: mint.Query{Roots: rootWindowFor(req.RootWindow), Budget: q.Full}}
-	batch := len(req.Motifs) > 0 || len(req.MotifSpecs) > 0
-	var err error
-	if batch {
+// Count is the worker's count step (Executor). A single motif runs the
+// fallback ladder. A batch is ONE co-mined run: there is no estimator
+// for a motif set, so it is exact-or-loud. A supervised count
+// checkpoints so a drain (or crash) mid-request leaves resumable
+// evidence; the checkpoint outlives the request only when the reply
+// names it, on a truncated run.
+func (s *Server) Count(q *Admitted, req *CountRequest, mq mint.Query) (*CountResponse, int, error) {
+	j := job{span: "mine", dataset: req.Dataset, query: mq}
+	if len(mq.Motifs) > 0 {
 		j.span, j.shed = "mine.batch", "batch"
-		j.query.Motifs, err = batchMotifs(&req)
 	}
-	if err == nil && (!batch || req.Motif != "" || req.MotifSpec != "") {
-		j.query.Motif, err = motifFor("custom", req.Motif, req.MotifSpec, Delta(req.DeltaSeconds))
-	}
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
+	path := ""
 	switch {
 	case req.Supervised && s.cfg.CheckpointDir == "":
-		WriteError(w, http.StatusBadRequest, "supervised requests need a server checkpoint dir (-checkpoint-dir)", 0)
-		return
+		return nil, 0, &StatusError{Status: http.StatusBadRequest, Msg: "supervised requests need a server checkpoint dir (-checkpoint-dir)"}
 	case req.Supervised:
-		path := filepath.Join(s.cfg.CheckpointDir,
-			fmt.Sprintf("req-%d-%s.ckpt", s.reqSeq.Add(1), sanitizeKey(workloadKey(req.Dataset, j.query))))
+		path = filepath.Join(s.cfg.CheckpointDir,
+			fmt.Sprintf("req-%d-%s.ckpt", s.reqSeq.Add(1), sanitizeKey(workloadKey(req.Dataset, mq))))
 		j.span, j.shed = "mine.supervised", "supervised"
 		j.query.Supervisor = &mint.SupervisorConfig{CheckpointPath: path}
-		j.reply = func(_ *mint.Graph, res mint.Result) any {
-			out := countResponse(res)
-			_, err := os.Stat(path)
-			switch {
-			case res.Truncated && err == nil:
-				// Only a written checkpoint is named: a truncated run
-				// whose snapshot could not be written left nothing to
-				// resume from.
-				out.Checkpoint = path
-			case !res.Truncated:
-				if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-					s.obs.Counter("server.checkpoint_remove_failed").Add(1)
-				}
-			}
-			return out
-		}
-	case !batch:
+	case len(mq.Motifs) == 0:
 		j.query.Fallback = &mint.ApproxConfig{}
 	}
-	s.serve(w, q, j)
+	res, edges, err := s.serve(q, j)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := countResponse(res)
+	if path != "" {
+		_, err := os.Stat(path)
+		switch {
+		case res.Truncated && err == nil:
+			// Only a written checkpoint is named: a truncated run whose
+			// snapshot could not be written left nothing to resume from.
+			out.Checkpoint = path
+		case !res.Truncated:
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				s.obs.Counter("server.checkpoint_remove_failed").Add(1)
+			}
+		}
+	}
+	return out, edges, nil
 }
 
-func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	var req EnumerateRequest
-	if !s.front.Decode(w, r, &req) {
-		return
-	}
-	if req.Limit <= 0 {
-		WriteError(w, http.StatusBadRequest, "limit must be positive", 0)
-		return
-	}
-	req.Limit = min(req.Limit, s.cfg.EnumerateMaxLimit)
+// Enumerate is the worker's enumerate step (Executor). Page tokens are
+// match offsets: pagination rides the deterministic chronological
+// search order, the budget stops the walk at offset+limit matches, and
+// the first offset are skipped as they stream by.
+func (s *Server) Enumerate(q *Admitted, req *EnumerateRequest, m *mint.Motif) (*EnumerateResponse, error) {
 	offset := int64(0)
 	if req.PageToken != "" {
 		var err error
 		offset, err = strconv.ParseInt(req.PageToken, 10, 64)
 		if err != nil || offset < 0 {
-			WriteError(w, http.StatusBadRequest, "malformed page_token", 0)
-			return
+			return nil, &StatusError{Status: http.StatusBadRequest, Msg: "malformed page_token"}
 		}
 	}
-	q, ok := s.front.Prelude(w, r, "enumerate", req.Priority, req.TimeoutMS, runctl.Budget{})
-	if !ok {
-		return
-	}
-	defer q.Done()
-	m, err := motifFor("custom", req.Motif, req.MotifSpec, Delta(req.DeltaSeconds))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	// Pagination rides the deterministic chronological search order: the
-	// budget stops the walk at offset+limit matches, and the first
-	// offset are skipped as they stream by.
 	b := q.Full
 	b.MaxMatches = offset + int64(req.Limit)
 	matches := make([][]int32, 0, req.Limit)
@@ -586,83 +474,47 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			matches = append(matches, append([]int32(nil), edges...))
 		}
 	}
-	s.serve(w, q, job{span: "mine.enumerate", shed: "enumerate", dataset: req.Dataset, explain: req.Explain, returnTrace: req.ReturnTrace,
-		query: mint.Query{Motif: m, Roots: rootWindowFor(req.RootWindow), Visit: visit, Budget: b},
-		reply: func(_ *mint.Graph, res mint.Result) any {
-			out := &EnumerateResponse{Matches: matches}
-			switch {
-			case res.Truncated && res.StopReason == mint.StopMatchBudget:
-				// The page filled: not a truncation, just the next page.
-				out.NextPageToken = strconv.FormatInt(offset+int64(len(matches)), 10)
-			case res.Truncated:
-				out.Truncated = true
-				out.StopReason = res.StopReason.String()
-			}
-			return out
-		},
-	})
+	res, _, err := s.serve(q, job{span: "mine.enumerate", shed: "enumerate", dataset: req.Dataset,
+		query: mint.Query{Motif: m, Roots: rootWindowFor(req.RootWindow), Visit: visit, Budget: b}})
+	if err != nil {
+		return nil, err
+	}
+	out := &EnumerateResponse{Matches: matches}
+	switch {
+	case res.Truncated && res.StopReason == mint.StopMatchBudget:
+		// The page filled: not a truncation, just the next page.
+		out.NextPageToken = strconv.FormatInt(offset+int64(len(matches)), 10)
+	case res.Truncated:
+		out.Truncated = true
+		out.StopReason = res.StopReason.String()
+	}
+	return out, nil
 }
 
-// handleProfile serves the M1–M4 profile as the batch query over the
-// evaluation motifs plus the density column, so a worker's profile and
-// a coordinator's (a worker batch per shard) agree.
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	var req ProfileRequest
-	if !s.front.Decode(w, r, &req) {
-		return
-	}
-	q, ok := s.front.Prelude(w, r, "profile", req.Priority, req.TimeoutMS, runctl.Budget{})
-	if !ok {
-		return
-	}
-	defer q.Done()
-	s.serve(w, q, job{span: "mine.profile", shed: "profile", dataset: req.Dataset, explain: req.Explain,
-		query: mint.Query{Motifs: mint.EvaluationMotifs(Delta(req.DeltaSeconds)), Budget: q.Full},
-		reply: func(g *mint.Graph, res mint.Result) any {
-			out := &ProfileResponse{}
-			for _, c := range mint.ProfileOf(g, res) {
-				e := ProfileEntry{Motif: c.Motif.Name, Spec: c.Motif.String(), Count: c.Count, Density: c.Density, Truncated: c.Truncated}
-				if c.Truncated {
-					e.StopReason = c.StopReason.String()
-				}
-				out.Profile = append(out.Profile, e)
-			}
-			return out
-		},
-	})
-}
-
-// handleDatasetInfo reports the shape, time extent, and identity
-// fingerprint of a served dataset. A scatter-gather coordinator calls it
+// DatasetInfo reports the shape, time extent, and identity fingerprint
+// of a served dataset (Executor). A scatter-gather coordinator calls it
 // once per worker before fanning out: the span feeds the shard plan and
 // the fingerprints must agree before any merge (two workers serving
 // different data under one name must fail the fan-out loudly, not sum
-// into a silently wrong count). It skips admission — it mines nothing
-// and must stay answerable under load so coordinators can plan.
-func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
-	var req DatasetInfoRequest
-	if !s.front.Decode(w, r, &req) {
-		return
-	}
-	ctx, cleanup := s.front.RequestCtx(r)
-	defer cleanup()
-	g, release, ok := s.checkout(w, ctx, req.Dataset)
-	if !ok {
-		return
+// into a silently wrong count).
+func (s *Server) DatasetInfo(ctx context.Context, dataset string) (*DatasetInfoResponse, error) {
+	g, release, err := s.checkout(ctx, dataset)
+	if err != nil {
+		return nil, err
 	}
 	defer release()
-	out := DatasetInfoResponse{
-		Dataset:     req.Dataset,
+	out := &DatasetInfoResponse{
+		Dataset:     dataset,
 		Nodes:       g.NumNodes(),
 		Edges:       g.NumEdges(),
-		Fingerprint: s.fingerprintOf(req.Dataset, g),
-		Live:        s.cfg.Ingest.Enabled() && req.Dataset == s.cfg.Ingest.Name(),
+		Fingerprint: s.fingerprintOf(dataset, g),
+		Live:        s.cfg.Ingest.Enabled() && dataset == s.cfg.Ingest.Name(),
 	}
 	if n := g.NumEdges(); n > 0 {
 		out.MinTS = int64(g.Edges[0].Time)
 		out.MaxTS = int64(g.Edges[n-1].Time)
 	}
-	WriteJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 // handleReadyz reports the worker ready once its datasets can be served

@@ -292,12 +292,14 @@ func TestBatchExplainNamesKernels(t *testing.T) {
 	if k := sp.Attrs["kernels"]; k != "M4" {
 		t.Fatalf("M1+M4 batch: kernels attribute %q, want \"M4\"", k)
 	}
-	// The co-miner's group span and the star kernel's run span hang
-	// under the request's mine.batch span.
-	for _, want := range []string{"comine.group", "mackey.kernel"} {
-		if findExplain(sp, want) == nil {
-			t.Errorf("M1+M4 batch: mine.batch span has no %q child", want)
-		}
+	// The co-miner's group span hangs under the request's mine.batch
+	// span, and the star kernel's run span under its group's.
+	grp := findExplain(sp, "comine.group")
+	if grp == nil {
+		t.Fatal("M1+M4 batch: mine.batch span has no comine.group child")
+	}
+	if findExplain(grp, "mackey.kernel") == nil {
+		t.Error("M1+M4 batch: comine.group span has no mackey.kernel child")
 	}
 	if k, ok := mineSpan("M1", "M2").Attrs["kernels"]; ok {
 		t.Fatalf("M1+M2 batch: kernels attribute %q, want none", k)
